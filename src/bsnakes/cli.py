@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .core import (ENUMERATION_CAP, CapExceeded, ParseError,
+from .core import (ENUMERATION_CAP, CapExceeded, ParseError, SignedPermutation,
                    enumerate_snakes, index_set, parse_sp, springer)
 from .normalform import (BACKENDS, REWRITE_CAP, SOLVE_CAP,
                          coefficient_range_experiment, normal_form)
@@ -42,7 +42,7 @@ def _emit(obj) -> None:
 
 def cmd_snakes(args) -> int:
     elems = _parse_set(args.set)
-    cap = args.unsafe_cap if args.unsafe_cap else ENUMERATION_CAP
+    cap = args.unsafe_cap or ENUMERATION_CAP
     if len(elems) > cap:
         raise CapExceeded(f"|I| = {len(elems)} exceeds cap {cap}")
     snakes = enumerate_snakes(elems)
@@ -57,7 +57,7 @@ def cmd_snakes(args) -> int:
 
 
 def cmd_springer(args) -> int:
-    cap = args.unsafe_cap if args.unsafe_cap else 7
+    cap = args.unsafe_cap or ENUMERATION_CAP
     if args.table:
         values = [springer(k, cap) for k in range(args.r + 1)]
         if args.json:
@@ -107,7 +107,7 @@ def cmd_cup(args) -> int:
     left = parse_sp(args.left)
     right = parse_sp(args.right)
     union = set(left.support) | set(right.support)
-    cap = args.unsafe_cap if args.unsafe_cap else ENUMERATION_CAP
+    cap = args.unsafe_cap or ENUMERATION_CAP
     if len(union) > cap:
         raise CapExceeded(f"|I1 u I2| = {len(union)} exceeds cap {cap}")
     prod = cup_basis(left, right)
@@ -120,7 +120,7 @@ def cmd_cup(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    cap = args.unsafe_cap if args.unsafe_cap else BETTI_CAP
+    cap = args.unsafe_cap or BETTI_CAP
     table = betti_table(args.n, cap)
     if args.json:
         _emit({"n": args.n, "betti": table})
@@ -130,19 +130,15 @@ def cmd_betti(args) -> int:
 
 
 def cmd_ring_table(args) -> int:
-    cap = args.unsafe_cap if args.unsafe_cap else RING_TABLE_CAP
+    cap = args.unsafe_cap or RING_TABLE_CAP
     records = ring_table(args.n, cap)
     if args.json:
         for rec in records:
             print(json.dumps(rec))
     else:
         for rec in records:
-            left = LinComb.from_json({"support": rec["left"]["support"],
-                                      "terms": [{"coeff": "1",
-                                                 "word": rec["left"]["word"]}]})
-            right = LinComb.from_json({"support": rec["right"]["support"],
-                                       "terms": [{"coeff": "1",
-                                                  "word": rec["right"]["word"]}]})
+            left = SignedPermutation.from_json(rec["left"])
+            right = SignedPermutation.from_json(rec["right"])
             prod = LinComb.from_json(rec["product"])
             print(f"{left} * {right} = {prod}")
     return 0
@@ -158,10 +154,13 @@ def _resolve_check(label: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    cap = args.unsafe_cap if args.unsafe_cap else VERIFY_CAP
+    cap = args.unsafe_cap or VERIFY_CAP
+    if args.full and args.lemma:
+        raise ParseError("--full sweeps every hat-complex check and cannot be "
+                         "combined with --lemma")
     only = [_resolve_check(v) for v in args.lemma] if args.lemma else None
     results = verify_suite(args.n, only=only, cap=cap)
-    if args.full and only is None:
+    if args.full:
         results.append(check_betti_identity(ORACLE_CAP))
         results.append(check_relations_vanish(ORACLE_CAP))
     failed = [r for r in results if not r.passed]
@@ -177,7 +176,7 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     if args.what != "coeffs":
         raise ParseError(f"unknown experiment {args.what!r}")
-    cap = args.unsafe_cap if args.unsafe_cap else SOLVE_CAP
+    cap = args.unsafe_cap or SOLVE_CAP
     report = coefficient_range_experiment(tuple(range(1, args.r + 1)),
                                           backend=args.backend, cap=cap)
     if args.json:

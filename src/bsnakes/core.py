@@ -136,13 +136,13 @@ def parse_sp(text: str) -> SignedPermutation:
         if ch == "-":
             sign = -1
             i += 1
-            if i >= len(inner) or not inner[i].isdigit():
+            if i >= len(inner) or inner[i] not in "0123456789":
                 raise ParseError("dangling '-'", i)
             ch = inner[i]
-        if not ch.isdigit():
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
         if ch == "0":
             raise ParseError("zero entry", i + 1)
+        if ch not in "123456789":  # ASCII only; str.isdigit admits other scripts
+            raise ParseError(f"unexpected character {ch!r}", i + 1)
         word.append(sign * int(ch))
         i += 1
     r = len(word)
@@ -317,14 +317,23 @@ def springer(r: int, cap: int = ENUMERATION_CAP) -> int:
     return sum(1 for _ in _snake_words(frozenset(range(1, r + 1))))
 
 
+def _block_sums(w: tuple[int, ...]) -> tuple[int, ...]:
+    r = len(w)
+    return tuple(w[r - 2 * i] + w[r - 2 * i + 1] for i in range(1, r // 2 + 1))
+
+
 def block_sums(x: SignedPermutation) -> tuple[int, ...]:
     """Sums x_{2i-1} + x_{2i} over the length-2 blocks, rightmost block first."""
-    w = x.word
-    r = len(w)
-    out = []
-    for i in range(1, r // 2 + 1):
-        out.append(w[r - 2 * i] + w[r - (2 * i - 1)])
-    return tuple(out)
+    return _block_sums(x.word)
+
+
+def _word_lt(w1: tuple[int, ...], w2: tuple[int, ...]) -> bool:
+    """``order_lt`` on raw words of one length, without the support check."""
+    s1, s2 = _block_sums(w1), _block_sums(w2)
+    if len(w1) % 2 == 0:
+        # Negating equal-length tuples reverses their lexicographic order.
+        s1, s2 = s2, s1
+    return s1 < s2
 
 
 def order_lt(x: SignedPermutation, y: SignedPermutation) -> bool:
@@ -337,8 +346,4 @@ def order_lt(x: SignedPermutation, y: SignedPermutation) -> bool:
     """
     if x.support != y.support:
         raise ValueError(f"supports differ: {x.support} vs {y.support}")
-    sx, sy = block_sums(x), block_sums(y)
-    if x.r % 2 == 0:
-        sx = tuple(-s for s in sx)
-        sy = tuple(-s for s in sy)
-    return sx < sy
+    return _word_lt(x.word, y.word)

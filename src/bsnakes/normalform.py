@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (CapExceeded, IndexSet, SignedPermutation, _is_snake_word,
-                   as_snake, enumerate_signed_perms, index_set, is_snake)
+                   _word_lt, as_snake, enumerate_signed_perms, index_set)
+from .linalg import SparseVector
 from .relations import (ConventionError, LinComb, _canonical_word, h2, h4, h5,
                         relation_matrix)
 
@@ -35,17 +36,6 @@ BACKENDS = ("rewrite", "solve")
 Word = tuple[int, ...]
 
 _nf_memo: dict[Word, dict[Word, Fraction]] = {}
-
-
-def _word_lt(w1: Word, w2: Word) -> bool:
-    """Block-sum comparison order on raw words (see core.order_lt)."""
-    r = len(w1)
-    s1 = tuple(w1[r - 2 * i] + w1[r - 2 * i + 1] for i in range(1, r // 2 + 1))
-    s2 = tuple(w2[r - 2 * i] + w2[r - 2 * i + 1] for i in range(1, r // 2 + 1))
-    if r % 2 == 0:
-        s1 = tuple(-v for v in s1)
-        s2 = tuple(-v for v in s2)
-    return s1 < s2
 
 
 def _find_rule(w: Word) -> tuple[str, int] | None:
@@ -123,16 +113,8 @@ def _nf_canonical(cw: Word) -> dict[Word, Fraction]:
         if todo:
             stack.extend(todo)
             continue
-        acc: dict[Word, Fraction] = {}
-        for coeff, sign, tw in pending[w]:
-            factor = coeff * sign
-            for sw, sc in _nf_memo[tw].items():
-                val = acc.get(sw, Fraction(0)) + factor * sc
-                if val:
-                    acc[sw] = val
-                else:
-                    acc.pop(sw, None)
-        _nf_memo[w] = acc
+        _nf_memo[w] = SparseVector.combine(
+            (coeff * sign, _nf_memo[tw]) for coeff, sign, tw in pending[w])
         del pending[w]
         stack.pop()
     return _nf_memo[cw]
@@ -169,10 +151,8 @@ def coefficient(x: SignedPermutation, alpha: SignedPermutation,
 
 def normal_form_lincomb(c: LinComb, backend: str = "rewrite") -> LinComb:
     """Linear extension of normal_form to combinations."""
-    out = LinComb.zero(c.support)
-    for perm, coeff in c.items():
-        out = out + normal_form(perm, backend).scale(coeff)
-    return out
+    return LinComb(c.support, SparseVector.combine(
+        (coeff, normal_form(perm, backend).terms) for perm, coeff in c.terms.items()))
 
 
 @dataclass

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 from .core import (CapExceeded, IndexSet, SignedPermutation, SignedSubset,
                    enumerate_snakes, f_set, index_set, is_snake, restrict_p,
                    springer, star)
-from .linalg import SparseEchelon
+from .linalg import BasisSolver, SparseEchelon, SparseVector
 from .relations import ConventionError, LinComb, generator_instances
 
 ORACLE_CAP = 5
@@ -49,10 +49,6 @@ Simplex = tuple[SignedSubset, ...]  # vertices in cardinality-ascending order
 
 def _vkey(v: SignedSubset) -> tuple[int, tuple[int, ...]]:
     return (len(v), tuple(sorted(v)))
-
-
-def _skey(sigma: Simplex) -> tuple:
-    return tuple(_vkey(v) for v in sigma)
 
 
 class NestedChainComplex:
@@ -171,39 +167,10 @@ def retract_pi(sigma: Simplex, J: Iterable[int]) -> Simplex | None:
     return tuple(images)
 
 
-class SimplicialChain:
+class SimplicialChain(SparseVector):
     """Exact rational chain keyed by nested vertex chains."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Simplex, Fraction] | None = None):
-        self.terms: dict[Simplex, Fraction] = {
-            s: Fraction(c) for s, c in (terms or {}).items() if c}
-
-    def items(self) -> list[tuple[Simplex, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _skey(kv[0]))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialChain) and self.terms == other.terms
-
-    def __add__(self, other: "SimplicialChain") -> "SimplicialChain":
-        data = dict(self.terms)
-        for s, c in other.terms.items():
-            data[s] = data.get(s, Fraction(0)) + c
-        return SimplicialChain(data)
-
-    def __neg__(self) -> "SimplicialChain":
-        return SimplicialChain({s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other: "SimplicialChain") -> "SimplicialChain":
-        return self + (-other)
-
-    def scale(self, factor) -> "SimplicialChain":
-        f = Fraction(factor)
-        return SimplicialChain({s: f * c for s, c in self.terms.items()})
+    __slots__ = ()
 
     def boundary(self) -> "SimplicialChain":
         out: dict[Simplex, Fraction] = {}
@@ -235,10 +202,8 @@ def chain_of(x: SignedPermutation) -> SimplicialChain:
 
 
 def chain_of_lincomb(comb: LinComb) -> SimplicialChain:
-    out = SimplicialChain()
-    for perm, c in comb.items():
-        out = out + chain_of(perm).scale(c)
-    return out
+    return SimplicialChain(SparseVector.combine(
+        (c, chain_of(perm).terms) for perm, c in comb.terms.items()))
 
 
 class SparseMatrix:
@@ -293,57 +258,51 @@ def reduced_betti(c: NestedChainComplex, k: int) -> int:
     return nk - rk - rk1
 
 
-class _CycleSolver:
-    """Expresses top-dimensional cycles of hat(I) in the snake-cycle basis.
+def _top_dim(I: IndexSet) -> int:
+    return (len(I) - 1) // 2 if I else -1
 
-    Snake-cycle columns are augmented with coordinate labels and kept in
-    echelon form; label columns can never hold a pivot unless the snake
-    cycles were dependent, which would falsify their basis property.
+
+class _TopCycleSolver:
+    """Coordinates of top-dimensional chains in a basis of top cycles.
+
+    ``top_index`` numbers the top simplices, ``labels[j]`` names the j-th
+    basis cycle, and ``where`` names the complex in error messages.
     """
 
-    def __init__(self, sup: IndexSet, cap: int):
-        self.support = sup
-        self.complex = hat_complex(sup, cap)
-        k = (len(sup) - 1) // 2 if sup else -1
-        self.top_index = self.complex.simplex_index(k)
-        self.n_top = len(self.complex.simplices(k))
-        self.snakes = enumerate_snakes(sup)
-        self.echelon = SparseEchelon()
-        for j, alpha in enumerate(self.snakes):
-            row = {self.top_index[s]: int(c)
-                   for s, c in chain_of(alpha).terms.items()}
-            row[self.n_top + j] = 1
-            self.echelon.add_row(row)
-        if (self.echelon.rank != len(self.snakes)
-                or any(p >= self.n_top for p in self.echelon.pivots)):
-            raise ConventionError(
-                f"snake cycles on {sup} are not independent")
+    def __init__(self, where: str, top_index: dict, labels: list,
+                 cycles: Iterable[SparseVector]):
+        self.where, self.top_index, self.labels = where, top_index, labels
+        self.basis = BasisSolver(len(top_index), (
+            {top_index[s]: int(c) for s, c in cycle.terms.items()} for cycle in cycles))
+        if not self.basis.independent:
+            raise ConventionError(f"basis cycles on {where} are not independent")
 
-    def solve(self, chain: SimplicialChain) -> LinComb:
+    def solve(self, chain: SparseVector) -> dict:
         vec: dict[int, Fraction] = {}
-        for sigma, c in chain.terms.items():
-            if sigma not in self.top_index:
-                raise ValueError(f"{sigma} is not a top simplex of hat{self.support}")
-            vec[self.top_index[sigma]] = c
-        residue = self.echelon.reduce_vector(vec)
-        coeffs: dict[SignedPermutation, Fraction] = {}
-        for col, val in residue.items():
-            if col < self.n_top:
-                raise ConventionError(
-                    f"cycle on {self.support} is outside the snake-cycle span")
-            coeffs[self.snakes[col - self.n_top]] = -val
-        return LinComb(self.support, coeffs)
+        for s, c in chain.terms.items():
+            if s not in self.top_index:
+                raise ValueError(f"{s} is not a top simplex of {self.where}")
+            vec[self.top_index[s]] = c
+        coords = self.basis.solve(vec)
+        if coords is None:
+            raise ConventionError(
+                f"chain on {self.where} is outside the span of its basis cycles")
+        return {self.labels[j]: c for j, c in coords.items()}
 
 
 @lru_cache(maxsize=None)
-def _cycle_solver(sup: IndexSet, cap: int) -> _CycleSolver:
-    return _CycleSolver(sup, cap)
+def _cycle_solver(sup: IndexSet, cap: int) -> _TopCycleSolver:
+    """Top cycles of hat(I) in the basis of snake cycles."""
+    snakes = enumerate_snakes(sup)
+    return _TopCycleSolver(f"hat{sup}", hat_complex(sup, cap).simplex_index(_top_dim(sup)),
+                           snakes, (chain_of(alpha) for alpha in snakes))
 
 
 def solve_in_snake_cycles(chain: SimplicialChain, I: Iterable[int],
                           cap: int = ORACLE_CAP) -> LinComb:
     """Unique coefficients with chain = sum of coeff * chain_of(snake)."""
-    return _cycle_solver(index_set(I), cap).solve(chain)
+    sup = index_set(I)
+    return LinComb(sup, _cycle_solver(sup, cap).solve(chain))
 
 
 # --- simplicial joins -------------------------------------------------------
@@ -351,37 +310,16 @@ def solve_in_snake_cycles(chain: SimplicialChain, I: Iterable[int],
 JoinSimplex = tuple[Simplex, Simplex]
 
 
-class JoinChain:
+class JoinChain(SparseVector):
     """Chain in the join of two complexes, first factor's vertices first."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[JoinSimplex, Fraction] | None = None):
-        self.terms: dict[JoinSimplex, Fraction] = {
-            s: Fraction(c) for s, c in (terms or {}).items() if c}
-
-    def items(self) -> list[tuple[JoinSimplex, Fraction]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1])))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JoinChain) and self.terms == other.terms
-
-    def scale(self, factor) -> "JoinChain":
-        f = Fraction(factor)
-        return JoinChain({s: f * c for s, c in self.terms.items()})
+    __slots__ = ()
 
 
 def join_chains(c1: SimplicialChain, c2: SimplicialChain) -> JoinChain:
     """Bilinear join; the orientation is the concatenated vertex order."""
-    terms: dict[JoinSimplex, Fraction] = {}
-    for s1, a in c1.terms.items():
-        for s2, b in c2.terms.items():
-            terms[(s1, s2)] = terms.get((s1, s2), Fraction(0)) + a * b
-    return JoinChain(terms)
+    return JoinChain({(s1, s2): a * b for s1, a in c1.terms.items()
+                      for s2, b in c2.terms.items()})
 
 
 def join_image(z: SignedPermutation, I1: Iterable[int], I2: Iterable[int]
@@ -433,48 +371,15 @@ def join_closed_form(z: SignedPermutation, I1: Iterable[int], I2: Iterable[int]
                        chain_of(restrict_p(z, ctx.i2))).scale(sign)
 
 
-class _JoinSolver:
-    """Expresses top join cycles of hat(I1) * hat(I2) in the basis of
-    snake-cycle joins chain_of(alpha) * chain_of(beta)."""
-
-    def __init__(self, i1: IndexSet, i2: IndexSet, cap: int):
-        self.i1, self.i2 = i1, i2
-        k1 = (len(i1) - 1) // 2 if i1 else -1
-        k2 = (len(i2) - 1) // 2 if i2 else -1
-        tops1 = hat_complex(i1, cap).simplices(k1)
-        tops2 = hat_complex(i2, cap).simplices(k2)
-        self.top_index = {(s1, s2): m
-                          for m, (s1, s2) in enumerate(itertools.product(tops1, tops2))}
-        self.n_top = len(self.top_index)
-        self.pairs = [(a, b) for a in enumerate_snakes(i1) for b in enumerate_snakes(i2)]
-        self.echelon = SparseEchelon()
-        for j, (a, b) in enumerate(self.pairs):
-            jc = join_chains(chain_of(a), chain_of(b))
-            row = {self.top_index[s]: int(c) for s, c in jc.terms.items()}
-            row[self.n_top + j] = 1
-            self.echelon.add_row(row)
-        if (self.echelon.rank != len(self.pairs)
-                or any(p >= self.n_top for p in self.echelon.pivots)):
-            raise ConventionError(f"snake-cycle joins on {i1}, {i2} are dependent")
-
-    def solve(self, chain: JoinChain) -> dict[tuple[SignedPermutation, SignedPermutation], Fraction]:
-        vec: dict[int, Fraction] = {}
-        for s, c in chain.terms.items():
-            if s not in self.top_index:
-                raise ValueError(f"join simplex outside the top product grid: {s}")
-            vec[self.top_index[s]] = c
-        residue = self.echelon.reduce_vector(vec)
-        coeffs = {}
-        for col, val in residue.items():
-            if col < self.n_top:
-                raise ConventionError("join cycle outside the snake-join span")
-            coeffs[self.pairs[col - self.n_top]] = -val
-        return coeffs
-
-
 @lru_cache(maxsize=None)
-def _join_solver(i1: IndexSet, i2: IndexSet, cap: int) -> _JoinSolver:
-    return _JoinSolver(i1, i2, cap)
+def _join_solver(i1: IndexSet, i2: IndexSet, cap: int) -> _TopCycleSolver:
+    """Top join cycles of hat(I1) * hat(I2) in the basis of snake-cycle
+    joins chain_of(alpha) * chain_of(beta), labelled by (alpha, beta)."""
+    tops = [hat_complex(i, cap).simplices(_top_dim(i)) for i in (i1, i2)]
+    pairs = [(a, b) for a in enumerate_snakes(i1) for b in enumerate_snakes(i2)]
+    return _TopCycleSolver(f"hat{i1} * hat{i2}",
+                           {s: m for m, s in enumerate(itertools.product(*tops))},
+                           pairs, (join_chains(chain_of(a), chain_of(b)) for a, b in pairs))
 
 
 # --- verification driver ----------------------------------------------------
@@ -492,8 +397,8 @@ class CheckResult:
     def record(self, payload) -> None:
         if len(self.failures) < 20:  # enough to diagnose, bounded output
             self.failures.append(payload)
-        else:
-            self.failures[-1] = "... more failures suppressed"
+        elif len(self.failures) == 20:
+            self.failures.append("... more failures suppressed")
 
     def to_json(self) -> dict:
         return {"check": self.check, "instances": self.instances,
@@ -525,7 +430,7 @@ def check_betti_identity(n: int, cap: int = ORACLE_CAP) -> CheckResult:
         if len(I) > cap:
             continue
         c = hat_complex(I, cap)
-        top = (len(I) - 1) // 2 if I else -1
+        top = _top_dim(I)
         res.instances += 1
         got = reduced_betti(c, top)
         want = springer(len(I))

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import (CapExceeded, IndexSet, SignedPermutation, _is_snake_word,
                    _words_lex, index_set, is_snake)
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, SparseVector
 
 RELATION_CAP = 5
 
@@ -35,11 +35,11 @@ class ConventionError(RuntimeError):
     """An internal sign/orientation invariant failed; never swallowed."""
 
 
-class LinComb:
+class LinComb(SparseVector):
     """Finite formal sum of signed permutations over one support, with exact
     rational coefficients.  Zero coefficients are never stored."""
 
-    __slots__ = ("support", "_terms")
+    __slots__ = ("support",)
 
     def __init__(self, support: Iterable[int],
                  terms: Mapping[SignedPermutation, Coeff] | None = None):
@@ -53,10 +53,15 @@ class LinComb:
                 raise ValueError(f"term {perm} lives on {perm.support}, not {sup}")
             data[perm] = c
         object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")
+
+    def _like(self, terms: dict) -> "LinComb":
+        # Construction re-validates: a sum that brings in terms from
+        # another support raises ValueError.
+        return type(self)(self.support, terms)
 
     @classmethod
     def zero(cls, support: Iterable[int]) -> "LinComb":
@@ -67,54 +72,27 @@ class LinComb:
         return cls(perm.support, {perm: coeff})
 
     def coefficient(self, perm: SignedPermutation) -> Fraction:
-        return self._terms.get(perm, Fraction(0))
+        return self.terms.get(perm, Fraction(0))
 
     def items(self) -> list[tuple[SignedPermutation, Fraction]]:
         """Terms sorted by word, the frozen basis order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].word)
+        return sorted(self.terms.items(), key=lambda kv: kv[0].word)
 
     def __iter__(self):
         return iter(self.items())
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinComb) and self.support == other.support
-                and self._terms == other._terms)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.support, frozenset(self._terms.items())))
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if self.support != other.support:
-            raise ValueError("cannot add combinations on different supports")
-        data = dict(self._terms)
-        for perm, c in other._terms.items():
-            data[perm] = data.get(perm, Fraction(0)) + c
-        return LinComb(self.support, data)
-
-    def __neg__(self) -> "LinComb":
-        return LinComb(self.support, {p: -c for p, c in self._terms.items()})
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-other)
-
-    def scale(self, factor: Coeff) -> "LinComb":
-        f = Fraction(factor)
-        return LinComb(self.support, {p: f * c for p, c in self._terms.items()})
-
-    def __rmul__(self, factor: Coeff) -> "LinComb":
-        return self.scale(factor)
+        return hash((self.support, frozenset(self.terms.items())))
 
     def all_snakes(self) -> bool:
-        return all(is_snake(p) for p in self._terms)
+        return all(is_snake(p) for p in self.terms)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         parts = []
         for perm, c in self.items():

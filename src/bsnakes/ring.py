@@ -29,6 +29,7 @@ from typing import Iterable, Mapping
 
 from .core import (EMPTY, CapExceeded, IndexSet, SignedPermutation, as_snake,
                    enumerate_snakes, index_set, restrict_p, springer)
+from .linalg import SparseVector
 from .normalform import coefficient
 from .relations import LinComb
 
@@ -202,22 +203,16 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     """Bilinear extension of cup_basis to graded elements."""
     if a.n != b.n:
         raise ValueError("ambient mismatch")
-    acc: dict[IndexSet, dict[SignedPermutation, Fraction]] = {}
+    acc: dict[IndexSet, list] = {}
     for c1 in a.components.values():
         for c2 in b.components.values():
             for alpha, x in c1.items():
                 for beta, y in c2.items():
                     prod = cup_basis(alpha, beta)
-                    if not prod:
-                        continue
-                    bucket = acc.setdefault(prod.support, {})
-                    for z, c in prod.items():
-                        val = bucket.get(z, Fraction(0)) + x * y * c
-                        if val:
-                            bucket[z] = val
-                        else:
-                            bucket.pop(z, None)
-    return RingElement(a.n, {s: LinComb(s, t) for s, t in acc.items() if t})
+                    if prod:
+                        acc.setdefault(prod.support, []).append((x * y, prod.terms))
+    return RingElement(a.n, {s: LinComb(s, SparseVector.combine(pairs))
+                             for s, pairs in acc.items()})
 
 
 def betti(n: int, k: int, cap: int = BETTI_CAP) -> int:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from bsnakes.cli import main
+import bsnakes
+from bsnakes.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -151,6 +152,12 @@ def test_verify_lemma_filter(capsys):
     assert code == 2
 
 
+def test_verify_full_with_lemma_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--full", "--lemma", "betti")
+    assert code == 2 and out == ""
+    assert "--full" in err and "--lemma" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--json")
     assert code == 0
@@ -197,3 +204,25 @@ def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "bsnakes.cli", "--version"],
                          capture_output=True, text=True)
     assert out.returncode == 0
+
+
+def test_public_contract():
+    assert sorted(bsnakes.__all__) == [
+        "BSnake", "CapExceeded", "ConventionError", "IndexSet", "LinComb",
+        "NestedChainComplex", "ParseError", "RestrictionContext", "RingElement",
+        "SignedPermutation", "SignedSubset", "SimplicialChain", "bar", "betti",
+        "betti_table", "boundary_matrix", "canonicalize", "chain_of",
+        "coefficient", "coefficient_range_experiment", "cup", "cup_basis",
+        "enumerate_signed_perms", "enumerate_snakes", "f_set", "format_sp",
+        "full_subcomplex", "h1", "h2", "h3", "h4", "h5", "hat_complex",
+        "index_set", "is_restrictable", "is_snake", "join_image", "kappa",
+        "normal_form", "normal_form_lincomb", "order_lt", "parse_sp",
+        "reduced_betti", "relation_matrix", "restrict_p", "retract_pi",
+        "ring_table", "signed_subset", "solve_in_snake_cycles", "springer",
+        "star", "subperm", "verify_suite",
+    ]
+    assert all(hasattr(bsnakes, name) for name in bsnakes.__all__)
+    commands = next(a.choices for a in build_parser()._actions
+                    if a.dest == "command")
+    assert set(commands) == {"snakes", "normal-form", "cup", "betti", "ring-table",
+                             "springer", "verify", "experiment"}

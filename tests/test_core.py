@@ -46,7 +46,7 @@ def test_format_examples(word, text):
 
 @pytest.mark.parametrize("bad", [
     "1/23]", "[1/23", "[12/3]", "[101]", "[1/2-]", "[x]", "[1-1]", "[22]",
-    "[/12]", "[12/]",
+    "[/12]", "[12/]", "[\u0661\u0662]", "[\u00b2]", "[-\u0663]",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):

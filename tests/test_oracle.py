@@ -5,13 +5,14 @@ import pytest
 from bsnakes.core import (CapExceeded, enumerate_signed_perms,
                           enumerate_snakes, parse_sp, springer, star)
 from bsnakes.normalform import normal_form
-from bsnakes.oracle import (ORACLE_CAP, CheckResult, NestedChainComplex,
-                            SimplicialChain, boundary_matrix, chain_of,
+from bsnakes.oracle import (ORACLE_CAP, CheckResult, JoinChain,
+                            NestedChainComplex, SimplicialChain,
+                            _join_solver, boundary_matrix, chain_of,
                             chain_of_lincomb, check_betti_identity,
                             full_subcomplex, hat_complex, join_chains,
                             join_closed_form, join_image, reduced_betti,
                             retract_pi, solve_in_snake_cycles, verify_suite)
-from bsnakes.relations import LinComb, generator_instances
+from bsnakes.relations import ConventionError, LinComb, generator_instances
 
 
 def sp(text):
@@ -216,6 +217,29 @@ def test_solve_rejects_foreign_simplices():
         solve_in_snake_cycles(chain_of(sp("[21]")), (1, 2, 3))
 
 
+def test_vector_equality_is_per_class():
+    assert LinComb.zero(()) != SimplicialChain()
+    assert SimplicialChain() != JoinChain()
+
+
+def test_solve_rejects_chains_outside_the_snake_cycle_span():
+    top = hat_complex((1, 2, 3)).simplices(1)[0]
+    with pytest.raises(ConventionError, match=r"\(1, 2, 3\)"):
+        solve_in_snake_cycles(SimplicialChain({top: 1}), (1, 2, 3))
+    with pytest.raises(ValueError):
+        solve_in_snake_cycles(SimplicialChain({top[:1]: 1}), (1, 2, 3))
+
+
+def test_join_solver_rejects_chains_outside_the_snake_join_span():
+    solver = _join_solver((1,), (2, 3), ORACLE_CAP)
+    s1 = hat_complex((1,)).simplices(0)[0]
+    s2 = hat_complex((2, 3)).simplices(0)[0]
+    with pytest.raises(ConventionError, match=r"\(1,\).*\(2, 3\)"):
+        solver.solve(JoinChain({(s1, s2): 1}))
+    with pytest.raises(ValueError):
+        solver.solve(JoinChain({(s1, ()): 1}))
+
+
 # --- joins -------------------------------------------------------------------------
 
 def test_join_image_golden_examples():
@@ -304,3 +328,7 @@ def test_check_result_reporting():
     assert not res.passed
     assert res.to_json() == {"check": "demo", "instances": 0,
                              "failures": [{"bad": 1}]}
+    for i in range(2, 26):
+        res.record({"bad": i})
+    assert res.failures == ([{"bad": i} for i in range(1, 21)]
+                            + ["... more failures suppressed"])

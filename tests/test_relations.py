@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bsnakes.core import (SignedPermutation, enumerate_signed_perms,
                           enumerate_snakes, is_snake, parse_sp, springer)
+from bsnakes.oracle import SimplicialChain, hat_complex
 from bsnakes.relations import (LinComb, canonicalize, generator_instances, h1,
                                h2, h3, h4, h5, relation_matrix)
 
@@ -41,20 +42,30 @@ def test_lincomb_support_checks():
 coeffs = st.integers(-4, 4).map(Fraction)
 
 
+# Eight basis vectors and the zero vector of each sparse-vector class.
+SPACES = {
+    "LinComb": lambda: ([LinComb.single(p) for p in enumerate_signed_perms((1, 2))],
+                        LinComb.zero((1, 2))),
+    "SimplicialChain": lambda: ([SimplicialChain({s: 1})
+                                 for s in hat_complex((1, 2, 3)).simplices(1)[:8]],
+                                SimplicialChain()),
+}
+
+
+@pytest.mark.parametrize("space", SPACES)
 @given(st.lists(st.tuples(st.sampled_from(range(8)), coeffs), max_size=6),
        st.lists(st.tuples(st.sampled_from(range(8)), coeffs), max_size=6),
        coeffs, coeffs)
 @settings(max_examples=100, deadline=None)
-def test_lincomb_axioms(ta, tb, lam, mu):
-    perms = list(enumerate_signed_perms((1, 2)))
-    build = lambda ts: sum((LinComb.single(perms[i], c) for i, c in ts),
-                           LinComb.zero((1, 2)))
+def test_lincomb_axioms(space, ta, tb, lam, mu):
+    basis, zero = SPACES[space]()
+    build = lambda ts: sum((c * basis[i] for i, c in ts), zero)
     a, b = build(ta), build(tb)
     assert a + b == b + a
     assert (a + b) - b == a
     assert (lam * (a + b)) == lam * a + lam * b
     assert ((lam + mu) * a) == lam * a + mu * a
-    assert 1 * a == a and 0 * a == LinComb.zero((1, 2))
+    assert 1 * a == a and 0 * a == zero
 
 
 def test_lincomb_json_round_trip():
