@@ -161,7 +161,10 @@ def parse_sp(text: str) -> SignedPermutation:
 
 def format_sp(x: SignedPermutation) -> str:
     """Canonical bracket notation; the rightmost block has length 2."""
-    w = x.word
+    return _format_word(x.word)
+
+
+def _format_word(w: tuple[int, ...]) -> str:
     if not w:
         return "[]"
     head = len(w) % 2  # leftmost block is a singleton iff r is odd

@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (CapExceeded, IndexSet, SignedPermutation, _is_snake_word,
-                   _word_lt, as_snake, enumerate_signed_perms, index_set)
+from .core import (CapExceeded, IndexSet, SignedPermutation, _format_word,
+                   _is_snake_word, _word_lt, as_snake, enumerate_signed_perms,
+                   index_set)
 from .linalg import SparseVector
-from .relations import (ConventionError, LinComb, _canonical_word, h2, h4, h5,
-                        relation_matrix)
+from .relations import (ConventionError, LinComb, _canonical_word, _instance,
+                        _starts, relation_matrix)
 
 REWRITE_CAP = 7
 SOLVE_CAP = 5
@@ -35,31 +36,28 @@ BACKENDS = ("rewrite", "solve")
 
 Word = tuple[int, ...]
 
-_nf_memo: dict[Word, dict[Word, Fraction]] = {}
+_nf_memo: dict[Word, dict[Word, int]] = {}
 
 
-def _find_rule(w: Word) -> tuple[str, int] | None:
-    """First applicable resolution for a canonically oriented non-snake.
+def _find_rule(w: Word) -> tuple[str, int]:
+    """First applicable resolution (family, window offset) for a
+    canonically oriented non-snake; raises when none applies.
 
     Checks for a monotone quadruple across adjacent blocks (smallest block
     index first), then the leading-letter conditions.
     """
-    r = len(w)
-    for i in range(1, r // 2):
-        a = w[r - (2 * i + 2)]
-        b = w[r - (2 * i + 1)]
-        c = w[r - 2 * i]
-        d = w[r - (2 * i - 1)]
+    for start in _starts("H2", len(w)):
+        a, b, c, d = w[start:start + 4]
         if a < b < c < d or a > b > c > d:
-            return ("h2", i)
-    if r % 2 == 0 and r >= 2 and w[0] < 0:
-        return ("h4", 0)
-    if r % 2 == 1 and r >= 3 and w[0] < w[1]:
-        return ("h5", 0)
-    return None
+            return ("H2", start)
+    if _starts("H4", len(w)) and w[0] < 0:
+        return ("H4", 0)
+    if _starts("H5", len(w)) and w[0] < w[1]:
+        return ("H5", 0)
+    raise ConventionError(f"no rewriting rule applies to non-snake {w}")
 
 
-def _replacements(w: Word) -> list[tuple[Fraction, int, Word]]:
+def _replacements(w: Word) -> list[tuple[int, int, Word]]:
     """Solve the applicable relation instance for w.
 
     Returns (coefficient, orientation sign, canonical word) triples with
@@ -67,27 +65,21 @@ def _replacements(w: Word) -> list[tuple[Fraction, int, Word]]:
     applies or when a replacement fails to decrease the comparison order;
     either would be a convention bug, never silently ignored.
     """
-    rule = _find_rule(w)
-    if rule is None:
-        raise ConventionError(f"no rewriting rule applies to non-snake {w}")
-    x = SignedPermutation(w)
-    name, i = rule
-    inst = h2(x, i) if name == "h2" else h4(x) if name == "h4" else h5(x)
-    if inst.coefficient(x) != 1:
-        raise ConventionError(f"{name} instance does not lead with {x}")
+    family, start = _find_rule(w)
+    inst = _instance(w, family, start)
+    if inst[0] != (w, 1):
+        raise ConventionError(f"{family} instance does not lead with {_format_word(w)}")
     out = []
-    for term, c in inst.items():
-        if term == x:
-            continue
-        sign, cw = _canonical_word(term.word)
+    for term, c in inst[1:]:
+        sign, cw = _canonical_word(term)
         if not _word_lt(cw, w):
-            raise ConventionError(
-                f"rewriting step {name} on {x} failed to decrease: {term}")
+            raise ConventionError(f"rewriting step {family} on {_format_word(w)} "
+                                  f"failed to decrease: {_format_word(term)}")
         out.append((-c, sign, cw))
     return out
 
 
-def _nf_canonical(cw: Word) -> dict[Word, Fraction]:
+def _nf_canonical(cw: Word) -> dict[Word, int]:
     """Normal form of a canonically oriented word, memoized.
 
     Evaluated with an explicit stack: recursion depth equals the length of
@@ -96,7 +88,7 @@ def _nf_canonical(cw: Word) -> dict[Word, Fraction]:
     """
     if cw in _nf_memo:
         return _nf_memo[cw]
-    pending: dict[Word, list[tuple[Fraction, int, Word]]] = {}
+    pending: dict[Word, list[tuple[int, int, Word]]] = {}
     stack = [cw]
     while stack:
         w = stack[-1]
@@ -104,7 +96,7 @@ def _nf_canonical(cw: Word) -> dict[Word, Fraction]:
             stack.pop()
             continue
         if _is_snake_word(w):
-            _nf_memo[w] = {w: Fraction(1)}
+            _nf_memo[w] = {w: 1}
             stack.pop()
             continue
         if w not in pending:

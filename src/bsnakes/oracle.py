@@ -110,9 +110,6 @@ class NestedChainComplex:
             k += 1
         return k
 
-    def has_simplex(self, sigma: Simplex) -> bool:
-        return sigma in self.simplex_index(len(sigma) - 1)
-
     def to_json(self) -> dict:
         """Face-list export for external inspection."""
         return {
@@ -125,12 +122,17 @@ class NestedChainComplex:
         }
 
 
-@lru_cache(maxsize=None)
-def hat_complex(I: IndexSet, cap: int = ORACLE_CAP) -> NestedChainComplex:
+def hat_complex(I: Iterable[int], cap: int = ORACLE_CAP) -> NestedChainComplex:
     """Complex of odd-cardinality signed subsets over +/-I, nested chains."""
     sup = index_set(I)
     if len(sup) > cap:
         raise CapExceeded(f"|I| = {len(sup)} exceeds oracle cap {cap}")
+    return _hat_complex(sup)
+
+
+@lru_cache(maxsize=None)
+def _hat_complex(sup: IndexSet) -> NestedChainComplex:
+    """One build per support, however ``hat_complex`` was called."""
     verts = []
     for size in range(1, len(sup) + 1, 2):
         for mags in itertools.combinations(sup, size):

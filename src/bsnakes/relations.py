@@ -1,7 +1,8 @@
 """Rational combinations of signed permutations and the relation subspace M_I.
 
-Five generator families H1..H5 span the subspace M_I of the free vector
-space Q<S^B_I> by which it is divided to reach the snake basis:
+Five generator families H1..H5, defined once in the layout table
+``_LAYOUTS`` from which every instance is built, span the subspace M_I of
+the free vector space Q<S^B_I> by which it is divided to reach the snake basis:
 
   * H1 transposes one length-2 block (two terms),
   * H2 rearranges two adjacent blocks (six terms),
@@ -29,6 +30,7 @@ from .linalg import SparseEchelon, SparseVector
 RELATION_CAP = 5
 
 Coeff = int | Fraction
+Terms = list[tuple[tuple[int, ...], int]]  # (word, sign) pairs
 
 
 class ConventionError(RuntimeError):
@@ -121,105 +123,102 @@ class LinComb(SparseVector):
         return cls(tuple(obj["support"]), terms)
 
 
-def _pos(r: int, i: int) -> int:
-    """Word index of the right-anchored position i."""
-    return r - i
+#: The single definition of H1..H5.  Each family reads a window of
+#: consecutive letters and lists its terms as (pattern, sign) pairs:
+#: pattern entry k > 0 places the window's k-th letter (leftmost is 1),
+#: -k its negation.  The first term is always the window itself, +1.
+_LAYOUTS: dict[str, tuple[tuple[tuple[int, ...], int], ...]] = {
+    "H1": (((1, 2), 1), ((2, 1), 1)),
+    "H2": (((1, 2, 3, 4), 1), ((1, 3, 2, 4), -1), ((2, 3, 1, 4), 1),
+           ((1, 4, 2, 3), 1), ((2, 4, 1, 3), -1), ((3, 4, 1, 2), 1)),
+    "H3": (((1,), 1), ((-1,), 1)),
+    "H4": (((1, 2), 1), ((1, -2), -1), ((2, -1), 1), ((-2, -1), -1)),
+    "H5": (((1, 2, 3), 1), ((1, -2, 3), -1), ((1, -3, 2), 1), ((1, -3, -2), -1),
+           ((2, 1, 3), -1), ((2, -1, 3), 1), ((2, -3, 1), -1), ((2, -3, -1), 1),
+           ((3, 1, 2), 1), ((3, -1, 2), -1), ((3, -2, 1), 1), ((3, -2, -1), -1)),
+}
+
+#: The families indexed by block (H1^i, H2^i); H3-H5 act at the leader.
+_BLOCK_FAMILIES = ("H1", "H2")
 
 
-def _with(word: tuple[int, ...], assignments: dict[int, int]) -> tuple[int, ...]:
-    w = list(word)
-    r = len(word)
-    for pos, val in assignments.items():
-        w[_pos(r, pos)] = val
-    return tuple(w)
+def _starts(family: str, r: int) -> range:
+    """Word offsets of the family's windows on words of length r, in
+    ascending block order (H1^1, H1^2, ...).  Every window ends on a block
+    boundary, and a leading-letter family takes only the one at offset 0."""
+    offsets = range(r - len(_LAYOUTS[family][0][0]), -1, -2)
+    if family in _BLOCK_FAMILIES:
+        return offsets
+    return range(1 if 0 in offsets else 0)
+
+
+def _instance(word: tuple[int, ...], family: str, start: int) -> Terms:
+    """The (word, sign) terms of the family's instance whose window begins
+    at word offset start; the first term is (word, 1)."""
+    layouts = _LAYOUTS[family]
+    end = start + len(layouts[0][0])
+    head, window, tail = word[:start], word[start:end], word[end:]
+    # letters[k] is the k-th window letter and letters[-k] its negation
+    letters = (0,) + window + tuple(-v for v in reversed(window))
+    return [(head + tuple([letters[k] for k in pattern]) + tail, sign)
+            for pattern, sign in layouts]
+
+
+def _relation(x: SignedPermutation, family: str, i: int = 1) -> LinComb:
+    """The family's i-th instance on x; zero where a leading-letter family
+    does not apply."""
+    starts = _starts(family, x.r)
+    if family in _BLOCK_FAMILIES and not 1 <= i <= len(starts):
+        raise IndexError(f"{family.lower()} index {i} out of range for r={x.r}")
+    terms = _instance(x.word, family, starts[i - 1]) if starts else []
+    return LinComb(x.support, {SignedPermutation(w): sign for w, sign in terms})
 
 
 def h1(x: SignedPermutation, i: int) -> LinComb:
     """Block transposition: x plus x with block i's letters swapped."""
-    r = x.r
-    if not 1 <= i <= r // 2:
-        raise IndexError(f"h1 index {i} out of range for r={r}")
-    a, b = x.entry(2 * i), x.entry(2 * i - 1)
-    flipped = SignedPermutation(_with(x.word, {2 * i: b, 2 * i - 1: a}))
-    return LinComb(x.support, {x: 1, flipped: 1})
+    return _relation(x, "H1", i)
 
 
 def h2(x: SignedPermutation, i: int) -> LinComb:
     """Six-term rearrangement of blocks i and i+1 with signs +,-,+,+,-,+."""
-    r = x.r
-    if not 1 <= i < r // 2:
-        raise IndexError(f"h2 index {i} out of range for r={r}")
-    a, b = x.entry(2 * i + 2), x.entry(2 * i + 1)
-    c, d = x.entry(2 * i), x.entry(2 * i - 1)
-    layouts = [((a, b, c, d), 1), ((a, c, b, d), -1), ((b, c, a, d), 1),
-               ((a, d, b, c), 1), ((b, d, a, c), -1), ((c, d, a, b), 1)]
-    terms = {}
-    for (p, q, s, t), sign in layouts:
-        word = _with(x.word, {2 * i + 2: p, 2 * i + 1: q, 2 * i: s, 2 * i - 1: t})
-        terms[SignedPermutation(word)] = sign
-    return LinComb(x.support, terms)
+    return _relation(x, "H2", i)
 
 
 def h3(x: SignedPermutation) -> LinComb:
     """Leader negation for odd r: x + (x with its leading letter negated)."""
-    r = x.r
-    if r % 2 == 0:
-        return LinComb.zero(x.support)
-    flipped = SignedPermutation(_with(x.word, {r: -x.entry(r)}))
-    return LinComb(x.support, {x: 1, flipped: 1})
+    return _relation(x, "H3")
 
 
 def h4(x: SignedPermutation) -> LinComb:
     """Leading-block relation for even r >= 2, signs +,-,+,-."""
-    r = x.r
-    if r % 2 == 1 or r == 0:
-        return LinComb.zero(x.support)
-    a, b = x.entry(r), x.entry(r - 1)
-    layouts = [((a, b), 1), ((a, -b), -1), ((b, -a), 1), ((-b, -a), -1)]
-    terms = {}
-    for (p, q), sign in layouts:
-        terms[SignedPermutation(_with(x.word, {r: p, r - 1: q}))] = sign
-    return LinComb(x.support, terms)
+    return _relation(x, "H4")
 
 
 def h5(x: SignedPermutation) -> LinComb:
     """Twelve-term relation on the three leading letters for odd r >= 3."""
-    r = x.r
-    if r % 2 == 0 or r < 3:
-        return LinComb.zero(x.support)
-    a, b, c = x.entry(r), x.entry(r - 1), x.entry(r - 2)
-    layouts = [((a, b, c), 1), ((a, -b, c), -1), ((a, -c, b), 1), ((a, -c, -b), -1),
-               ((b, a, c), -1), ((b, -a, c), 1), ((b, -c, a), -1), ((b, -c, -a), 1),
-               ((c, a, b), 1), ((c, -a, b), -1), ((c, -b, a), 1), ((c, -b, -a), -1)]
-    terms = {}
-    for (p, q, s), sign in layouts:
-        terms[SignedPermutation(_with(x.word, {r: p, r - 1: q, r - 2: s}))] = sign
-    return LinComb(x.support, terms)
+    return _relation(x, "H5")
+
+
+def _word_instances(sup: IndexSet, families: Iterable[str] = tuple(_LAYOUTS)
+                    ) -> Iterator[tuple[str, int, Terms]]:
+    """(family, i, terms) for every instance on sup of the given families,
+    family by family and word by word in lexicographic order; i is 0 for
+    the leading-letter families."""
+    words = list(_words_lex(frozenset(sup)))
+    for family in families:
+        starts = _starts(family, len(sup))
+        for w in words:
+            for i, start in enumerate(starts, 1):
+                yield (family, i if family in _BLOCK_FAMILIES else 0,
+                       _instance(w, family, start))
 
 
 def generator_instances(I: Iterable[int]) -> Iterator[tuple[str, LinComb]]:
     """Every nonzero H1..H5 instance on I, deterministically ordered."""
-    elems = index_set(I)
-    perms = [SignedPermutation(w) for w in _words_lex(frozenset(elems))]
-    r = len(elems)
-    for x in perms:
-        for i in range(1, r // 2 + 1):
-            yield f"H1^{i}", h1(x, i)
-    for x in perms:
-        for i in range(1, r // 2):
-            yield f"H2^{i}", h2(x, i)
-    for x in perms:
-        comb = h3(x)
-        if comb:
-            yield "H3", comb
-    for x in perms:
-        comb = h4(x)
-        if comb:
-            yield "H4", comb
-    for x in perms:
-        comb = h5(x)
-        if comb:
-            yield "H5", comb
+    sup = index_set(I)
+    for family, i, terms in _word_instances(sup):
+        yield (f"{family}^{i}" if i else family,
+               LinComb(sup, {SignedPermutation(w): sign for w, sign in terms}))
 
 
 def _canonical_word(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -267,31 +266,23 @@ class RelationMatrix:
         if len(sup) > cap:
             raise CapExceeded(f"|I| = {len(sup)} exceeds relation cap {cap}")
         self.support: IndexSet = sup
-        words = list(_words_lex(frozenset(sup)))
-        snakes = [w for w in words if _is_snake_word(w)]
-        non_snakes = [w for w in words if not _is_snake_word(w)]
-        self.columns: list[tuple[int, ...]] = non_snakes + snakes
+        self.columns: list[tuple[int, ...]] = sorted(_words_lex(frozenset(sup)),
+                                                     key=_is_snake_word)
         self.col_index = {w: j for j, w in enumerate(self.columns)}
-        self.n_snakes = len(snakes)
+        self.n_snakes = sum(map(_is_snake_word, self.columns))
         self.n_generators = 0
-
-        by_family: dict[str, list[dict[int, int]]] = {}
-        for label, comb in generator_instances(sup):
-            fam = label.split("^")[0]
-            row = {self.col_index[p.word]: int(c) for p, c in comb.items()}
-            by_family.setdefault(fam, []).append(row)
-            self.n_generators += 1
 
         self.echelon = SparseEchelon()
         seen: set[frozenset[tuple[int, int]]] = set()
-        for fam in ("H1", "H3", "H4", "H2", "H5"):
-            for row in by_family.get(fam, []):
-                sgn = 1 if row[min(row)] > 0 else -1
-                key = frozenset((k, sgn * v) for k, v in row.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-                self.echelon.add_row(row)
+        for _, _, terms in _word_instances(sup, ("H1", "H3", "H4", "H2", "H5")):
+            self.n_generators += 1
+            row = {self.col_index[w]: sign for w, sign in terms}
+            sgn = 1 if row[min(row)] > 0 else -1
+            key = frozenset((k, sgn * v) for k, v in row.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            self.echelon.add_row(row)
 
     @property
     def rank(self) -> int:

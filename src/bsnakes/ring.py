@@ -17,9 +17,9 @@ crossings between the factors.  The unit is the empty snake at I = {}.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -247,11 +247,10 @@ def graded_basis(n: int) -> list[SignedPermutation]:
 
 
 def _code_version() -> str:
-    from . import __version__, core, normalform, relations
-    import bsnakes.ring as ring_module
-    h = hashlib.sha1(__version__.encode())
-    for mod in (core, relations, normalform, ring_module):
-        h.update(inspect.getsource(mod).encode())
+    """Hash of the bytes of every module of the package, in name order."""
+    h = hashlib.sha1()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.read_bytes())
     return h.hexdigest()[:12]
 
 
@@ -283,9 +282,14 @@ def ring_table(n: int, cap: int = RING_TABLE_CAP,
             })
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-        tmp.replace(path)
+        # a private temp file per writer, renamed into place atomically
+        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return records

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -198,6 +199,27 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "normal-form", "[1/23]")
     b = run(capsys, "normal-form", "[1/23]")
     assert a == b
+
+
+# sha256 of stdout for four JSON commands: the JSON bytes are part of the
+# contract, so a change to them must come with a deliberate new pin here
+STDOUT_SHA256 = {
+    ("ring-table", "--n", "3", "--json"):
+        "f7c2e96d736dd98ba9eff54dfee2f202c1eda62b871b023be3bdc08cb6fbc8ef",
+    ("experiment", "coeffs", "--r", "5", "--json"):
+        "d05a8ed5f596074208cbee65fc2e2c04113580e6db57d9e9399410744bb8fb07",
+    ("verify", "--n", "3", "--json"):
+        "fd29c560768fc3bef3a1a397006d7b50e512e700ba1929df75df71e8c422fba3",
+    ("normal-form", "--check-oracle", "--json", "[1/23]"):
+        "ecd41def56b4b98353b4690d8029e2a9f43deeabdc825d74dba1406b0d9fd356",
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=lambda argv: argv[0])
+def test_json_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
 def test_console_script_installed():

@@ -54,6 +54,12 @@ def test_hat_cap():
         hat_complex((1, 2, 3, 4, 5, 6))
 
 
+def test_hat_complex_built_once_per_support():
+    assert hat_complex((1, 2)) is hat_complex([2, 1], 6)
+    with pytest.raises(CapExceeded):
+        hat_complex((1, 2, 3), 2)
+
+
 def test_empty_complex():
     c = hat_complex(())
     assert c.dim == -1

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from bsnakes.core import (SignedPermutation, enumerate_signed_perms,
                           enumerate_snakes, is_snake, parse_sp, springer)
 from bsnakes.oracle import SimplicialChain, hat_complex
-from bsnakes.relations import (LinComb, canonicalize, generator_instances, h1,
-                               h2, h3, h4, h5, relation_matrix)
+from bsnakes.relations import (LinComb, _instance, _starts, canonicalize,
+                               generator_instances, h1, h2, h3, h4, h5,
+                               relation_matrix)
 
 
 def sp(text):
@@ -108,11 +109,21 @@ def test_h2_golden_shape():
         h2(sp("[21]"), 1)
 
 
-def test_h2_six_distinct_terms_everywhere():
-    for x in enumerate_signed_perms((1, 2, 3, 4)):
-        c = h2(x, 1)
-        assert len(c) == 6
-        assert all(v in (1, -1) for _, v in c.items())
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("family,length", [
+    ("H1", 2), ("H2", 6), ("H3", 2), ("H4", 4), ("H5", 12)])
+def test_instances_distinct_unit_and_led_by_x(family, length, r):
+    # _replacements solves each instance for its first term, so it needs
+    # distinct terms, +-1 coefficients and x itself first at +1
+    for x in enumerate_signed_perms(range(1, r + 1)):
+        if not _starts(family, r):  # a leading-letter family of other parity
+            assert not {"H3": h3, "H4": h4, "H5": h5}[family](x)
+        for start in _starts(family, r):
+            terms = _instance(x.word, family, start)
+            assert len(terms) == length
+            assert len({w for w, _ in terms}) == length
+            assert all(c in (1, -1) for _, c in terms)
+            assert terms[0] == (x.word, 1)
 
 
 def test_h3_golden():

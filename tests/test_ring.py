@@ -1,14 +1,19 @@
 import itertools
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bsnakes.core import (EMPTY, CapExceeded, enumerate_snakes, parse_sp,
                           springer)
 from bsnakes.relations import LinComb
-from bsnakes.ring import (RestrictionContext, RingElement, betti, betti_table,
-                          cup, cup_basis, graded_basis, is_restrictable, kappa,
-                          ring_table)
+from bsnakes.ring import (RestrictionContext, RingElement, _code_version, betti,
+                          betti_table, cup, cup_basis, graded_basis,
+                          is_restrictable, kappa, ring_table)
 
 
 def sp(text):
@@ -255,6 +260,49 @@ def test_ring_table_cache(tmp_path):
         lines = [json.loads(line) for line in fh]
     assert lines == records
     assert ring_table(2, cache_dir=str(tmp_path)) == records
+
+
+def test_code_version_covers_every_module(tmp_path):
+    # normal forms and products run through linalg, so an edit there must
+    # change the disk-cache key as well
+    import bsnakes
+    package = Path(bsnakes.__file__).parent
+    shutil.copytree(package, tmp_path / "bsnakes",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def version(root):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from bsnakes.ring import _code_version; print(_code_version())"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(root)})
+        return out.stdout.strip()
+
+    original = version(package.parent)
+    assert version(tmp_path) == original
+    with open(tmp_path / "bsnakes" / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("# edited\n")
+    assert version(tmp_path) != original
+
+
+def test_ring_table_cache_uses_a_private_temp_file(tmp_path, monkeypatch):
+    # a directory where a fixed-name temp file would go must not matter
+    fixed = tmp_path / f"ring_table_n2_{_code_version()}.tmp"
+    fixed.mkdir()
+    records = ring_table(2, cache_dir=str(tmp_path))
+    table = tmp_path / f"ring_table_n2_{_code_version()}.jsonl"
+    assert sorted(tmp_path.iterdir()) == sorted([fixed, table])
+    with open(table, encoding="utf-8") as fh:
+        assert [json.loads(line) for line in fh] == records
+    # a failed write leaves no temp file behind
+    table.unlink()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        ring_table(2, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == [fixed]
 
 
 def test_ring_table_n4_contains_golden_products():
