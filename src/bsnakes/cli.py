@@ -6,7 +6,7 @@ machine output; text output carries no timestamps and uses frozen
 orderings, so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 verification or backend disagreement, 2 usage or
-parse error.
+parse error, 3 internal error (a broken invariant, ConventionError).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .normalform import (BACKENDS, REWRITE_CAP, SOLVE_CAP,
 from .oracle import (CHECKS, ORACLE_CAP, VERIFY_CAP, chain_of,
                      check_betti_identity, check_relations_vanish,
                      solve_in_snake_cycles, verify_suite)
-from .relations import LinComb
+from .relations import ConventionError, LinComb
 from .ring import BETTI_CAP, RING_TABLE_CAP, betti_table, cup_basis, ring_table
 
 
@@ -270,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConventionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

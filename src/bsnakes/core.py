@@ -222,8 +222,15 @@ def restrict_p(x: SignedPermutation, J: Iterable[int]) -> SignedPermutation:
     """Parity-corrected restriction P_J: the subword of x, or of bar(x) when
     |support| + |J| is odd."""
     Jset = set(J)
-    base = x if (x.r + len(Jset)) % 2 == 0 else bar(x)
-    return subperm(base, Jset)
+    if not Jset <= set(x.support):
+        raise ValueError(f"{sorted(Jset)} is not a subset of the support {x.support}")
+    return SignedPermutation(_restrict_word(x.word, Jset))
+
+
+def _restrict_word(w: tuple[int, ...], J: set[int] | frozenset[int]) -> tuple[int, ...]:
+    """``restrict_p`` on a raw word, without the subset check."""
+    f = 1 if (len(w) + len(J)) % 2 == 0 else -1
+    return tuple(f * v for v in w if abs(v) in J)
 
 
 def _is_snake_word(w: tuple[int, ...]) -> bool:
@@ -290,7 +297,11 @@ def enumerate_snakes(I: Iterable[int]) -> list[BSnake]:
     return out
 
 
-def _snake_words(mags: frozenset[int]) -> Iterator[tuple[int, ...]]:
+def _snake_words(mags: frozenset[int], side: frozenset[int] | None = None
+                 ) -> Iterator[tuple[int, ...]]:
+    """Snake words on mags in lexicographic order; with ``side``, only the
+    restrictable ones of the split (side, mags - side): a letter that would
+    close a block across the split below the leading remainder is skipped."""
     r = len(mags)
     if r == 0:
         yield ()
@@ -302,8 +313,15 @@ def _snake_words(mags: frozenset[int]) -> Iterator[tuple[int, ...]]:
             yield prefix
             return
         last = prefix[-1]
+        # The next letter sits at right-anchored position len(remaining); an
+        # odd position closes a block, except at word index 1, which closes
+        # the leading remainder of an even word.
+        closes = side is not None and len(remaining) % 2 == 1 and len(prefix) >= 2
+        last_in = abs(last) in side if closes else False
         for v in _signed_values(remaining):
             if (last > v) if want_gt else (last < v):
+                if closes and (abs(v) in side) != last_in:
+                    continue
                 yield from rec(prefix + (v,), remaining - {abs(v)}, not want_gt)
 
     for first in sorted(mags):

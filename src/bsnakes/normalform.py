@@ -112,6 +112,20 @@ def _nf_canonical(cw: Word) -> dict[Word, int]:
     return _nf_memo[cw]
 
 
+def _check_rewrite_cap(r: int, cap: int | None = None) -> None:
+    """Raise CapExceeded when r letters exceed the rewrite cap."""
+    limit = REWRITE_CAP if cap is None else cap
+    if r > limit:
+        raise CapExceeded(f"r = {r} exceeds rewrite cap {limit}")
+
+
+def _rewrite_coefficient(word: Word, alpha: Word) -> int:
+    """The alpha-coordinate of the rewrite normal form of a raw word, read
+    from the memo; no cap check."""
+    sign, cw = _canonical_word(word)
+    return sign * _nf_canonical(cw).get(alpha, 0)
+
+
 def normal_form(x: SignedPermutation, backend: str = "rewrite",
                 cap: int | None = None) -> LinComb:
     """Express x in the snake basis modulo M_I."""
@@ -119,9 +133,7 @@ def normal_form(x: SignedPermutation, backend: str = "rewrite",
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     r = x.r
     if backend == "rewrite":
-        limit = REWRITE_CAP if cap is None else cap
-        if r > limit:
-            raise CapExceeded(f"r = {r} exceeds rewrite cap {limit}")
+        _check_rewrite_cap(r, cap)
         sign, cw = _canonical_word(x.word)
         table = _nf_canonical(cw)
         return LinComb(x.support,
@@ -138,7 +150,10 @@ def coefficient(x: SignedPermutation, alpha: SignedPermutation,
     as_snake(alpha)
     if x.support != alpha.support:
         raise ValueError(f"supports differ: {x.support} vs {alpha.support}")
-    return normal_form(x, backend).coefficient(alpha)
+    if backend != "rewrite":
+        return normal_form(x, backend).coefficient(alpha)
+    _check_rewrite_cap(x.r)
+    return Fraction(_rewrite_coefficient(x.word, alpha.word))
 
 
 def normal_form_lincomb(c: LinComb, backend: str = "rewrite") -> LinComb:

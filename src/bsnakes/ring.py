@@ -21,16 +21,15 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .core import (EMPTY, CapExceeded, IndexSet, SignedPermutation, as_snake,
-                   enumerate_snakes, index_set, restrict_p, springer)
+from .core import (EMPTY, CapExceeded, IndexSet, SignedPermutation, _restrict_word,
+                   _snake_words, as_snake, enumerate_snakes, index_set, springer)
 from .linalg import SparseVector
-from .normalform import coefficient
+from .normalform import _check_rewrite_cap, _rewrite_coefficient
 from .relations import LinComb
 
 BETTI_CAP = 7
@@ -57,18 +56,26 @@ class RestrictionContext:
         return tuple(sorted(set(self.i1) | set(self.i2)))
 
 
+def _kappa_word(w: tuple[int, ...], side: frozenset[int]) -> int:
+    """``kappa`` on a raw word; side is the first factor."""
+    count = seen_second = 0
+    for v in w[len(w) - 1::-2]:  # x_1, x_3, ...; count earlier second-factor letters
+        if abs(v) in side:
+            count += seen_second
+        else:
+            seen_second += 1
+    return count
+
+
 def is_restrictable(z: SignedPermutation, ctx: RestrictionContext) -> bool:
     """True iff every complete block of z below the leading remainder lies
     wholly inside one factor."""
     if set(z.support) != set(ctx.union):
         raise ValueError(f"support {z.support} is not {ctx.union}")
-    ell = z.r
-    side1, side2 = set(ctx.i1), set(ctx.i2)
-    for i in range(1, (ell - 1) // 2 + 1):
-        pair = {abs(z.entry(2 * i - 1)), abs(z.entry(2 * i))}
-        if not (pair <= side1 or pair <= side2):
-            return False
-    return True
+    w, side = z.word, set(ctx.i1)
+    # the blocks (x_{2i}, x_{2i-1}) for i = 1 .. (r-1)//2, as word indices
+    return all((abs(w[j - 1]) in side) == (abs(w[j]) in side)
+               for j in range(len(w) - 1, 1, -2))
 
 
 def kappa(z: SignedPermutation, ctx: RestrictionContext) -> int:
@@ -76,40 +83,37 @@ def kappa(z: SignedPermutation, ctx: RestrictionContext) -> int:
     with the i-th in the first factor, the j-th in the second, and i > j."""
     if not is_restrictable(z, ctx):
         raise ValueError(f"{z} is not restrictable to ({ctx.i1}, {ctx.i2})")
-    side1 = set(ctx.i1)
-    odd_letters = [z.entry(2 * i - 1) for i in range(1, (z.r + 1) // 2 + 1)]
-    count = 0
-    seen_second = 0
-    for v in odd_letters:  # ascending i; count earlier second-factor letters
-        if abs(v) in side1:
-            count += seen_second
-        else:
-            seen_second += 1
-    return count
+    return _kappa_word(z.word, frozenset(ctx.i1))
 
 
-@lru_cache(maxsize=None)
 def cup_basis(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
     """Product of two basis snakes as a snake combination on I1 symdiff I2."""
     as_snake(alpha)
     as_snake(beta)
     s1, s2 = set(alpha.support), set(beta.support)
-    target = tuple(sorted(s1 ^ s2))
     if (s1 & s2) or (len(s1) * len(s2)) % 2 != 0:
-        return LinComb.zero(target)
-    ctx = RestrictionContext(alpha.support, beta.support)
-    terms: dict[SignedPermutation, Fraction] = {}
-    for z in enumerate_snakes(target):
-        if not is_restrictable(z, ctx):
-            continue
-        c1 = coefficient(restrict_p(z, ctx.i1), alpha)
+        return LinComb.zero(s1 ^ s2)
+    return _cup_nonvanishing(alpha, beta)
+
+
+@lru_cache(maxsize=None)
+def _cup_nonvanishing(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
+    """cup_basis on disjoint supports with even size product: the sum over
+    the restrictable snakes z of the union, from raw words."""
+    _check_rewrite_cap(max(alpha.r, beta.r))
+    a, b = alpha.word, beta.word
+    i1, i2 = frozenset(alpha.support), frozenset(beta.support)
+    union = i1 | i2
+    terms: dict[SignedPermutation, int] = {}
+    for z in _snake_words(union, i1):
+        c1 = _rewrite_coefficient(_restrict_word(z, i1), a)
         if not c1:
             continue
-        c2 = coefficient(restrict_p(z, ctx.i2), beta)
+        c2 = _rewrite_coefficient(_restrict_word(z, i2), b)
         if not c2:
             continue
-        terms[z] = (-1) ** kappa(z, ctx) * c1 * c2
-    return LinComb(target, terms)
+        terms[SignedPermutation(z)] = (-1) ** _kappa_word(z, i1) * c1 * c2
+    return LinComb(union, terms)
 
 
 class RingElement:

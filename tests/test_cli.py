@@ -7,6 +7,7 @@ import pytest
 
 import bsnakes
 from bsnakes.cli import build_parser, main
+from bsnakes.relations import ConventionError
 
 
 def run(capsys, *argv):
@@ -86,6 +87,19 @@ def test_cap_error_exit_2(capsys):
     code, _, err = run(capsys, "springer", "--r", "9")
     assert code == 2
     assert "cap" in err
+
+
+def test_convention_error_exit_3(capsys, monkeypatch):
+    # A broken internal invariant is neither a usage error (2) nor a failed
+    # verification (1), and it leaves no partial output on stdout.
+    def broken(alpha, beta):
+        raise ConventionError("no rewriting rule applies to non-snake (1, 2)")
+
+    monkeypatch.setattr(bsnakes.cli, "cup_basis", broken)
+    code, out, err = run(capsys, "cup", "[1-4]", "[32]", "--json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: no rewriting rule applies to non-snake (1, 2)\n"
 
 
 def test_cup_text(capsys):

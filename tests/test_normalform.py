@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,29 @@ def test_coefficient_validates():
         coefficient(sp("[21]"), sp("[12]"))  # not a snake
     with pytest.raises(ValueError):
         coefficient(sp("[21]"), sp("[31]"))  # support mismatch
+
+
+def test_coefficient_reads_the_normal_form():
+    snakes = enumerate_snakes((1, 2, 3, 4))
+    for x in enumerate_signed_perms((1, 2, 3, 4)):
+        nf = normal_form(x)
+        for alpha in snakes:
+            c = coefficient(x, alpha)
+            assert type(c) is Fraction and c == nf.coefficient(alpha), (x, alpha)
+    x, alpha = sp("[1-4/32]"), sp("[4/-12]")
+    with pytest.raises(ValueError):
+        coefficient(x, alpha)  # support mismatch
+    x, alpha = sp("[1/23]"), sp("[3/12]")
+    assert coefficient(x, alpha, "solve") == coefficient(x, alpha) == -1
+    with pytest.raises(ValueError):
+        coefficient(x, alpha, "guess")
+
+
+def test_coefficient_cap():
+    from bsnakes.core import SignedPermutation
+    alpha = sp("[81/72/63/54]")
+    with pytest.raises(CapExceeded):
+        coefficient(SignedPermutation(tuple(range(8, 0, -1))), alpha)
 
 
 @pytest.mark.parametrize("I", [(1,), (1, 2), (2, 3), (1, 2, 3), (1, 3, 5),

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from bsnakes.core import (EMPTY, CapExceeded, enumerate_snakes, parse_sp,
-                          springer)
+from bsnakes.core import (EMPTY, CapExceeded, _snake_words, enumerate_snakes,
+                          parse_sp, restrict_p, springer)
+from bsnakes.normalform import normal_form
 from bsnakes.relations import LinComb
-from bsnakes.ring import (RestrictionContext, RingElement, _code_version, betti,
-                          betti_table, cup, cup_basis, graded_basis,
-                          is_restrictable, kappa, ring_table)
+from bsnakes.ring import (RestrictionContext, RingElement, _code_version,
+                          _cup_nonvanishing, betti, betti_table, cup, cup_basis,
+                          graded_basis, is_restrictable, kappa, ring_table)
 
 
 def sp(text):
@@ -163,6 +165,77 @@ def test_cup_associativity_over_3():
 def _sym3(a, b, c):
     s1, s2, s3 = set(a.support), set(b.support), set(c.support)
     return tuple(sorted((s1 ^ s2) ^ s3))
+
+
+# --- the restrictable-only product path -------------------------------------------
+
+def _splits(U):
+    """Every (I1, I2) with I1 u I2 = U and |I1| * |I2| even."""
+    for k in range(len(U) + 1):
+        for i1 in itertools.combinations(U, k):
+            i2 = tuple(v for v in U if v not in i1)
+            if (len(i1) * len(i2)) % 2 == 0:
+                yield i1, i2
+
+
+def _reference_cup(alpha, beta):
+    """The product formula from the public API alone: filter every snake of
+    the union, read each coefficient off a whole normal form."""
+    ctx = RestrictionContext(alpha.support, beta.support)
+    terms = {}
+    for z in enumerate_snakes(ctx.union):
+        if is_restrictable(z, ctx):
+            c1 = normal_form(restrict_p(z, ctx.i1)).coefficient(alpha)
+            c2 = normal_form(restrict_p(z, ctx.i2)).coefficient(beta)
+            terms[z] = (-1) ** kappa(z, ctx) * c1 * c2
+    return LinComb(ctx.union, terms)
+
+
+def test_pruned_search_is_the_filtered_enumeration():
+    for U in subsets(6):
+        snakes = enumerate_snakes(U)
+        for i1, i2 in _splits(U):
+            ctx = RestrictionContext(i1, i2)
+            want = [z.word for z in snakes if is_restrictable(z, ctx)]
+            assert list(_snake_words(frozenset(U), frozenset(i1))) == want, (i1, i2)
+
+
+def test_cup_matches_reference_over_4():
+    basis = graded_basis(4)
+    checked = 0
+    for a in basis:
+        for b in basis:
+            if not set(a.support) & set(b.support) and \
+                    (len(a.support) * len(b.support)) % 2 == 0:
+                assert cup_basis(a, b) == _reference_cup(a, b), (a, b)
+                checked += 1
+    assert checked == 373  # sum of b_|I1| * b_|I2| over the disjoint splits
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cup_matches_reference_seeded(seed):
+    rng = random.Random(seed)
+    U = sorted(rng.sample(range(1, 10), 6 + seed % 2))
+    i1, i2 = rng.choice(list(_splits(U)))
+    a = rng.choice(enumerate_snakes(i1))
+    b = rng.choice(enumerate_snakes(i2))
+    assert cup_basis(a, b) == _reference_cup(a, b)
+
+
+def test_cup_cap_on_an_eight_letter_factor():
+    alpha = sp("[81/72/63/54]")
+    with pytest.raises(CapExceeded):
+        cup_basis(alpha, EMPTY)
+    with pytest.raises(CapExceeded):
+        cup_basis(EMPTY, alpha)
+    assert not cup_basis(alpha, sp("[1]"))  # overlapping supports still vanish
+
+
+def test_vanishing_products_skip_the_cache():
+    before = _cup_nonvanishing.cache_info().currsize
+    assert not cup_basis(sp("[1]"), sp("[2]"))
+    assert not cup_basis(sp("[21]"), sp("[3-1]"))
+    assert _cup_nonvanishing.cache_info().currsize == before
 
 
 # --- ring elements ----------------------------------------------------------------
