@@ -13,25 +13,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
-from .core import (ENUMERATION_CAP, CapExceeded, ParseError, SignedPermutation,
-                   enumerate_snakes, index_set, parse_sp, springer)
+from .core import (ENUMERATION_CAP, CapExceeded, ParseError, enumerate_snakes,
+                   index_set, parse_sp, springer)
 from .normalform import (BACKENDS, REWRITE_CAP, SOLVE_CAP,
                          coefficient_range_experiment, normal_form)
 from .oracle import (CHECKS, ORACLE_CAP, VERIFY_CAP, chain_of,
                      check_betti_identity, check_relations_vanish,
                      solve_in_snake_cycles, verify_suite)
-from .relations import ConventionError, LinComb
-from .ring import BETTI_CAP, RING_TABLE_CAP, betti_table, cup_basis, ring_table
+from .relations import ConventionError
+from .ring import (BETTI_CAP, RING_TABLE_CAP, _record, _ring_products, betti_table,
+                   cup_basis)
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII decimal integers, spaces around each allowed;
+    ``int`` alone would also take other scripts' digits, "1_0" and "+1"."""
     if not text.strip():
         return ()
+    parts = text.split(",")
     try:
-        return index_set(int(part) for part in text.split(","))
+        if not all(re.fullmatch(r" *[0-9]+ *", part) for part in parts):
+            raise ValueError("expected comma-separated ASCII decimal integers")
+        return index_set(int(part) for part in parts)
     except ValueError as exc:
         raise ParseError(f"bad index set {text!r}: {exc}") from None
 
@@ -88,7 +95,7 @@ def cmd_normal_form(args) -> int:
         if alt != nf:
             disagreement.append(f"backend {other} disagrees: {alt}")
         if x.r <= (cap or ORACLE_CAP):
-            orc = solve_in_snake_cycles(chain_of(x), x.support)
+            orc = solve_in_snake_cycles(chain_of(x), x.support, cap or ORACLE_CAP)
             if orc != nf:
                 disagreement.append(f"oracle disagrees: {orc}")
     if args.json:
@@ -131,15 +138,10 @@ def cmd_betti(args) -> int:
 
 def cmd_ring_table(args) -> int:
     cap = args.unsafe_cap or RING_TABLE_CAP
-    records = ring_table(args.n, cap)
-    if args.json:
-        for rec in records:
-            print(json.dumps(rec))
-    else:
-        for rec in records:
-            left = SignedPermutation.from_json(rec["left"])
-            right = SignedPermutation.from_json(rec["right"])
-            prod = LinComb.from_json(rec["product"])
+    for left, right, prod in _ring_products(args.n, cap):
+        if args.json:
+            print(json.dumps(_record(left, right, prod)))
+        else:
             print(f"{left} * {right} = {prod}")
     return 0
 

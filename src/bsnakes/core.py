@@ -19,7 +19,8 @@ the basis of the quotient algebra built in the sibling modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -53,6 +54,12 @@ def index_set(values: Iterable[int]) -> IndexSet:
     return elems
 
 
+def _subsets(n: int) -> list[IndexSet]:
+    """Subsets of [n], ordered by size then elements."""
+    base = range(1, n + 1)
+    return [sup for size in range(n + 1) for sup in itertools.combinations(base, size)]
+
+
 def signed_subset(members: Iterable[int]) -> SignedSubset:
     """Frozen set of nonzero integers with no {i, -i} pair."""
     s = frozenset(members)
@@ -68,6 +75,8 @@ class SignedPermutation:
     """Word of distinct-magnitude signed integers, leftmost letter first."""
 
     word: tuple[int, ...]
+    #: The magnitudes in increasing order, computed once.
+    support: IndexSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mags = [abs(v) for v in self.word]
@@ -75,14 +84,11 @@ class SignedPermutation:
             raise ValueError("zero entry in signed permutation")
         if len(set(mags)) != len(mags):
             raise ValueError(f"duplicate magnitude in word {self.word}")
+        object.__setattr__(self, "support", tuple(sorted(mags)))
 
     @property
     def r(self) -> int:
         return len(self.word)
-
-    @property
-    def support(self) -> IndexSet:
-        return tuple(sorted(abs(v) for v in self.word))
 
     def entry(self, i: int) -> int:
         """Right-anchored letter x_i, 1 <= i <= r."""
@@ -115,8 +121,8 @@ def parse_sp(text: str) -> SignedPermutation:
 
     Entries are single digits 1-9 with an optional minus sign.  Block
     separators ``/`` are optional but, when present, must sit at the
-    right-anchored length-2 block boundaries.  They are validated and
-    discarded.
+    right-anchored length-2 block boundaries, one per boundary.  They are
+    validated and discarded.
     """
     if not text.startswith("["):
         raise ParseError("expected leading '['", 0)
@@ -124,12 +130,12 @@ def parse_sp(text: str) -> SignedPermutation:
         raise ParseError("expected trailing ']'", len(text) - 1)
     inner = text[1:-1]
     word: list[int] = []
-    slash_positions: list[int] = []  # number of letters seen before each '/'
+    slashes: list[tuple[int, int]] = []  # (letters seen before, index in text)
     i = 0
     while i < len(inner):
         ch = inner[i]
         if ch == "/":
-            slash_positions.append(len(word))
+            slashes.append((len(word), i + 1))
             i += 1
             continue
         sign = 1
@@ -146,12 +152,14 @@ def parse_sp(text: str) -> SignedPermutation:
         word.append(sign * int(ch))
         i += 1
     r = len(word)
-    for pos in slash_positions:
-        if pos == 0 or pos == r:
-            raise ParseError("empty block")
+    previous = None
+    for pos, at in slashes:
+        if pos in (0, r, previous):
+            raise ParseError("empty block", at)
         if (r - pos) % 2 != 0:
             raise ParseError(f"block separator after letter {pos} does not sit "
-                             "on a right-anchored pair boundary")
+                             "on a right-anchored pair boundary", at)
+        previous = pos
     mags = [abs(v) for v in word]
     for j, m in enumerate(mags):
         if m in mags[:j]:

@@ -119,13 +119,6 @@ def _check_rewrite_cap(r: int, cap: int | None = None) -> None:
         raise CapExceeded(f"r = {r} exceeds rewrite cap {limit}")
 
 
-def _rewrite_coefficient(word: Word, alpha: Word) -> int:
-    """The alpha-coordinate of the rewrite normal form of a raw word, read
-    from the memo; no cap check."""
-    sign, cw = _canonical_word(word)
-    return sign * _nf_canonical(cw).get(alpha, 0)
-
-
 def normal_form(x: SignedPermutation, backend: str = "rewrite",
                 cap: int | None = None) -> LinComb:
     """Express x in the snake basis modulo M_I."""
@@ -153,7 +146,8 @@ def coefficient(x: SignedPermutation, alpha: SignedPermutation,
     if backend != "rewrite":
         return normal_form(x, backend).coefficient(alpha)
     _check_rewrite_cap(x.r)
-    return Fraction(_rewrite_coefficient(x.word, alpha.word))
+    sign, cw = _canonical_word(x.word)
+    return Fraction(sign * _nf_canonical(cw).get(alpha.word, 0))
 
 
 def normal_form_lincomb(c: LinComb, backend: str = "rewrite") -> LinComb:

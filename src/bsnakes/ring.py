@@ -11,29 +11,29 @@ factor; each such z contributes
 
 where C(-,-) are snake-basis coefficients from the normalform module,
 P_J is the parity-corrected restriction, and kappa counts odd-position
-crossings between the factors.  The unit is the empty snake at I = {}.
+crossings between the factors.  Every product over one split (I1, I2)
+comes from one walk of those z.  The unit is the empty snake at I = {}.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (EMPTY, CapExceeded, IndexSet, SignedPermutation, _restrict_word,
-                   _snake_words, as_snake, enumerate_snakes, index_set, springer)
+                   _snake_words, _subsets, as_snake, enumerate_snakes, index_set,
+                   springer)
 from .linalg import SparseVector
-from .normalform import _check_rewrite_cap, _rewrite_coefficient
-from .relations import LinComb
+from .normalform import Word, _check_rewrite_cap, _nf_canonical
+from .relations import LinComb, _canonical_word
 
 BETTI_CAP = 7
 RING_TABLE_CAP = 4
+#: Nonvanishing basis products kept by ``cup_basis``: room for every
+#: product inside [5], whose 3 263 would otherwise be recomputed.
+_CUP_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,36 @@ def kappa(z: SignedPermutation, ctx: RestrictionContext) -> int:
     return _kappa_word(z.word, frozenset(ctx.i1))
 
 
+def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
+               right: Word | None = None) -> dict[tuple[Word, Word], dict[Word, int]]:
+    """Every nonzero basis product over the split (I1, I2), from one walk
+    of the restrictable snakes z of the union: {(alpha, beta): {z: coeff}}
+    on raw words.  Each z reads the normal forms of P_I1(z) and P_I2(z)
+    from the memo and adds (-1)^kappa(z) * c1 * c2 to every (alpha, beta)
+    they mention; given ``left`` and ``right``, only those coordinates."""
+    i1, i2 = frozenset(i1), frozenset(i2)
+    _check_rewrite_cap(max(len(i1), len(i2)))
+    table: dict[tuple[Word, Word], dict[Word, int]] = {}
+    for z in _snake_words(i1 | i2, i1):
+        s1, w1 = _canonical_word(_restrict_word(z, i1))
+        nf1 = _nf_canonical(w1)
+        if left is not None and left not in nf1:  # skip z before restricting it to I2
+            continue
+        s2, w2 = _canonical_word(_restrict_word(z, i2))
+        nf2 = _nf_canonical(w2)
+        if right is not None and right not in nf2:
+            continue
+        sign = (-1) ** _kappa_word(z, i1) * s1 * s2
+        for a, c1 in (nf1.items() if left is None else ((left, nf1[left]),)):
+            for b, c2 in (nf2.items() if right is None else ((right, nf2[right]),)):
+                table.setdefault((a, b), {})[z] = sign * c1 * c2
+    return table
+
+
+def _product(union: Iterable[int], terms: Mapping[Word, int]) -> LinComb:
+    return LinComb(union, {SignedPermutation(z): c for z, c in terms.items()})
+
+
 def cup_basis(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
     """Product of two basis snakes as a snake combination on I1 symdiff I2."""
     as_snake(alpha)
@@ -93,27 +123,14 @@ def cup_basis(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
     s1, s2 = set(alpha.support), set(beta.support)
     if (s1 & s2) or (len(s1) * len(s2)) % 2 != 0:
         return LinComb.zero(s1 ^ s2)
-    return _cup_nonvanishing(alpha, beta)
+    return _cup_cached(alpha, beta)
 
 
-@lru_cache(maxsize=None)
-def _cup_nonvanishing(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
-    """cup_basis on disjoint supports with even size product: the sum over
-    the restrictable snakes z of the union, from raw words."""
-    _check_rewrite_cap(max(alpha.r, beta.r))
-    a, b = alpha.word, beta.word
-    i1, i2 = frozenset(alpha.support), frozenset(beta.support)
-    union = i1 | i2
-    terms: dict[SignedPermutation, int] = {}
-    for z in _snake_words(union, i1):
-        c1 = _rewrite_coefficient(_restrict_word(z, i1), a)
-        if not c1:
-            continue
-        c2 = _rewrite_coefficient(_restrict_word(z, i2), b)
-        if not c2:
-            continue
-        terms[SignedPermutation(z)] = (-1) ** _kappa_word(z, i1) * c1 * c2
-    return LinComb(union, terms)
+@lru_cache(maxsize=_CUP_CACHE_SIZE)
+def _cup_cached(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
+    """cup_basis on disjoint supports with even size product."""
+    table = _cup_split(alpha.support, beta.support, alpha.word, beta.word)
+    return _product(alpha.support + beta.support, table.get((alpha.word, beta.word), {}))
 
 
 class RingElement:
@@ -241,59 +258,37 @@ def betti_table(n: int, cap: int = BETTI_CAP) -> list[int]:
 def graded_basis(n: int) -> list[SignedPermutation]:
     """All basis snakes over subsets of [n], supports ordered by size then
     elements, snakes in word order within a support."""
-    import itertools
-    out = []
-    base = list(range(1, n + 1))
-    for size in range(n + 1):
-        for sup in itertools.combinations(base, size):
-            out.extend(enumerate_snakes(sup))
-    return out
+    return [alpha for sup in _subsets(n) for alpha in enumerate_snakes(sup)]
 
 
-def _code_version() -> str:
-    """Hash of the bytes of every module of the package, in name order."""
-    h = hashlib.sha1()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.read_bytes())
-    return h.hexdigest()[:12]
-
-
-def ring_table(n: int, cap: int = RING_TABLE_CAP,
-               cache_dir: str | None = None) -> list[dict]:
-    """All ordered products of basis snakes, serialized deterministically.
-
-    With SNAKE_CACHE_DIR set (or cache_dir given), tables are cached on
-    disk keyed by (n, code-version hash).
-    """
+def _ring_products(n: int, cap: int = RING_TABLE_CAP
+                   ) -> Iterator[tuple[SignedPermutation, SignedPermutation, LinComb]]:
+    """Every ordered product of basis snakes over [n] as (left, right,
+    product), left outer and right inner in basis order.  Products come
+    from the split tables of one left support at a time."""
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds ring-table cap {cap}")
-    directory = cache_dir if cache_dir is not None else os.environ.get("SNAKE_CACHE_DIR")
-    path = None
-    if directory:
-        path = Path(directory) / f"ring_table_n{n}_{_code_version()}.jsonl"
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                return [json.loads(line) for line in fh if line.strip()]
-    basis = graded_basis(n)
-    records = []
-    for left in basis:
-        for right in basis:
-            prod = cup_basis(left, right)
-            records.append({
-                "left": {"support": list(left.support), "word": list(left.word)},
-                "right": {"support": list(right.support), "word": list(right.word)},
-                "product": prod.to_json(snake_basis=True),
-            })
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # a private temp file per writer, renamed into place atomically
-        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
-        try:
-            with open(fd, "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return records
+    supports = _subsets(n)
+    basis = {sup: enumerate_snakes(sup) for sup in supports}
+    for i1 in supports:
+        tables = {i2: _cup_split(i1, i2) for i2 in supports
+                  if not set(i1) & set(i2) and len(i1) * len(i2) % 2 == 0}
+        for left in basis[i1]:
+            for i2 in supports:
+                table = tables.get(i2, {})
+                zero = LinComb.zero(set(i1) ^ set(i2))
+                for right in basis[i2]:
+                    terms = table.get((left.word, right.word))
+                    yield left, right, _product(i1 + i2, terms) if terms else zero
+
+
+def _record(left: SignedPermutation, right: SignedPermutation, prod: LinComb) -> dict:
+    return {"left": {"support": list(left.support), "word": list(left.word)},
+            "right": {"support": list(right.support), "word": list(right.word)},
+            "product": prod.to_json(snake_basis=True)}
+
+
+def ring_table(n: int, cap: int = RING_TABLE_CAP) -> list[dict]:
+    """All ordered products of basis snakes over [n] as JSON-ready records,
+    left outer and right inner in basis order; nothing is cached."""
+    return [_record(*triple) for triple in _ring_products(n, cap)]

@@ -83,6 +83,31 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["\u0661,\u0662", "1_0", "+1"])
+def test_set_takes_ascii_decimal_integers_only(capsys, text):
+    # int() alone reads Arabic-Indic digits, "1_0" as 10 and "+1" as 1
+    code, out, err = run(capsys, "snakes", "--set", text)
+    assert code == 2 and out == ""
+    assert "bad index set" in err
+    code, out, _ = run(capsys, "snakes", "--set", " 1, 2 ")
+    assert code == 0 and out.endswith("count: 3\n")
+
+
+def test_check_oracle_honours_the_lifted_cap(capsys, monkeypatch):
+    # the r = 6 solve backend takes minutes, so it is replaced by the
+    # rewrite result; the simplicial oracle itself runs at r = 6
+    real = bsnakes.cli.normal_form
+
+    def rewrite_only(x, backend="rewrite", cap=None):
+        return real(x, backend="rewrite", cap=cap)
+
+    monkeypatch.setattr(bsnakes.cli, "normal_form", rewrite_only)
+    code, out, err = run(capsys, "normal-form", "--check-oracle", "--unsafe-cap", "6",
+                         "--json", "[21/43/65]")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cross_checked"] is True
+
+
 def test_cap_error_exit_2(capsys):
     code, _, err = run(capsys, "springer", "--r", "9")
     assert code == 2
@@ -215,7 +240,7 @@ def test_byte_identical_reruns(capsys):
     assert a == b
 
 
-# sha256 of stdout for four JSON commands: the JSON bytes are part of the
+# sha256 of stdout: the JSON bytes and the ring-table text are part of the
 # contract, so a change to them must come with a deliberate new pin here
 STDOUT_SHA256 = {
     ("ring-table", "--n", "3", "--json"):
@@ -226,10 +251,20 @@ STDOUT_SHA256 = {
         "fd29c560768fc3bef3a1a397006d7b50e512e700ba1929df75df71e8c422fba3",
     ("normal-form", "--check-oracle", "--json", "[1/23]"):
         "ecd41def56b4b98353b4690d8029e2a9f43deeabdc825d74dba1406b0d9fd356",
+    ("ring-table", "--n", "4", "--json"):
+        "ee71a9f95c1f57fe3d9250425d1e07d34aa8be84eea733224ef48b107ff5bece",
+    ("ring-table", "--n", "3"):
+        "2c2e95bf1a7b9e284ef3cf728dd13aa4c5b9c99ffe29b1c92331515b33f080e0",
 }
 
 
-@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=lambda argv: argv[0])
+def _pin_id(argv):
+    # the first pin of a subcommand is named by the subcommand alone
+    first = next(a for a in STDOUT_SHA256 if a[0] == argv[0])
+    return argv[0] if argv == first else " ".join(argv)
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=_pin_id)
 def test_json_stdout_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -46,7 +46,7 @@ def test_format_examples(word, text):
 
 @pytest.mark.parametrize("bad", [
     "1/23]", "[1/23", "[12/3]", "[101]", "[1/2-]", "[x]", "[1-1]", "[22]",
-    "[/12]", "[12/]", "[\u0661\u0662]", "[\u00b2]", "[-\u0663]",
+    "[/12]", "[12/]", "[\u0661\u0662]", "[\u00b2]", "[-\u0663]", "[1//23]",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -60,6 +60,14 @@ def test_parse_error_positions():
         sp("[10]")
     with pytest.raises(ParseError, match=r"\["):
         sp("12]")
+    # separator errors point at the offending '/'
+    for text, at in [("[1//23]", 3), ("[/12]", 1), ("[12/]", 3)]:
+        with pytest.raises(ParseError, match="empty block") as exc:
+            sp(text)
+        assert exc.value.position == at, text
+    with pytest.raises(ParseError, match="pair boundary") as exc:
+        sp("[1-3/2-5-4]")
+    assert exc.value.position == 4
 
 
 def test_partial_separators_validated():
@@ -83,6 +91,16 @@ def test_word_validation():
         SignedPermutation((1, -1))
     with pytest.raises(ValueError):
         SignedPermutation((0,))
+
+
+def test_support_is_stored_but_not_compared():
+    x = SignedPermutation((-3, 1, 2))
+    assert x.support == (1, 2, 3) and x.support is x.support
+    assert x == SignedPermutation((-3, 1, 2))
+    assert hash(x) == hash(SignedPermutation((-3, 1, 2)))
+    assert repr(x) == "SignedPermutation(word=(-3, 1, 2))"
+    assert x.to_json() == {"word": [-3, 1, 2]}
+    assert SignedPermutation.from_json(x.to_json()).support == (1, 2, 3)
 
 
 # --- bar, star, F_i ----------------------------------------------------------

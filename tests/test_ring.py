@@ -1,11 +1,5 @@
 import itertools
-import json
-import os
 import random
-import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,9 +7,10 @@ from bsnakes.core import (EMPTY, CapExceeded, _snake_words, enumerate_snakes,
                           parse_sp, restrict_p, springer)
 from bsnakes.normalform import normal_form
 from bsnakes.relations import LinComb
-from bsnakes.ring import (RestrictionContext, RingElement, _code_version,
-                          _cup_nonvanishing, betti, betti_table, cup, cup_basis,
-                          graded_basis, is_restrictable, kappa, ring_table)
+from bsnakes.ring import (_CUP_CACHE_SIZE, RestrictionContext, RingElement,
+                          _cup_cached, _cup_split, betti, betti_table, cup,
+                          cup_basis, graded_basis, is_restrictable, kappa,
+                          ring_table)
 
 
 def sp(text):
@@ -232,10 +227,27 @@ def test_cup_cap_on_an_eight_letter_factor():
 
 
 def test_vanishing_products_skip_the_cache():
-    before = _cup_nonvanishing.cache_info().currsize
+    assert _cup_cached.cache_info().maxsize == _CUP_CACHE_SIZE
+    before = _cup_cached.cache_info().currsize
     assert not cup_basis(sp("[1]"), sp("[2]"))
     assert not cup_basis(sp("[21]"), sp("[3-1]"))
-    assert _cup_nonvanishing.cache_info().currsize == before
+    assert _cup_cached.cache_info().currsize == before
+
+
+def test_split_table_is_every_product_of_the_split():
+    # the full scatter (which the oracle referees) against the filtered
+    # path that cup_basis takes, pair by pair
+    checked = 0
+    for U in subsets(5):
+        for i1, i2 in _splits(U):
+            table = _cup_split(i1, i2)
+            for a in enumerate_snakes(i1):
+                for b in enumerate_snakes(i2):
+                    terms = table.get((a.word, b.word), {})
+                    want = cup_basis(a, b)
+                    assert {z.word: c for z, c in want.terms.items()} == terms, (a, b)
+                    checked += 1
+    assert checked == 3263  # every nonvanishing ordered pair over [5]
 
 
 # --- ring elements ----------------------------------------------------------------
@@ -323,59 +335,6 @@ def test_ring_table_n2():
     assert all(r["product"]["terms"] == [] for r in zero)
     # deterministic
     assert records == ring_table(2)
-
-
-def test_ring_table_cache(tmp_path):
-    records = ring_table(2, cache_dir=str(tmp_path))
-    files = list(tmp_path.glob("ring_table_n2_*.jsonl"))
-    assert len(files) == 1
-    with open(files[0], encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh]
-    assert lines == records
-    assert ring_table(2, cache_dir=str(tmp_path)) == records
-
-
-def test_code_version_covers_every_module(tmp_path):
-    # normal forms and products run through linalg, so an edit there must
-    # change the disk-cache key as well
-    import bsnakes
-    package = Path(bsnakes.__file__).parent
-    shutil.copytree(package, tmp_path / "bsnakes",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-
-    def version(root):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from bsnakes.ring import _code_version; print(_code_version())"],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(root)})
-        return out.stdout.strip()
-
-    original = version(package.parent)
-    assert version(tmp_path) == original
-    with open(tmp_path / "bsnakes" / "linalg.py", "a", encoding="utf-8") as fh:
-        fh.write("# edited\n")
-    assert version(tmp_path) != original
-
-
-def test_ring_table_cache_uses_a_private_temp_file(tmp_path, monkeypatch):
-    # a directory where a fixed-name temp file would go must not matter
-    fixed = tmp_path / f"ring_table_n2_{_code_version()}.tmp"
-    fixed.mkdir()
-    records = ring_table(2, cache_dir=str(tmp_path))
-    table = tmp_path / f"ring_table_n2_{_code_version()}.jsonl"
-    assert sorted(tmp_path.iterdir()) == sorted([fixed, table])
-    with open(table, encoding="utf-8") as fh:
-        assert [json.loads(line) for line in fh] == records
-    # a failed write leaves no temp file behind
-    table.unlink()
-
-    def fail(src, dst):
-        raise OSError("replace failed")
-    monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="replace failed"):
-        ring_table(2, cache_dir=str(tmp_path))
-    assert list(tmp_path.iterdir()) == [fixed]
 
 
 def test_ring_table_n4_contains_golden_products():
