@@ -15,17 +15,20 @@ import argparse
 import json
 import re
 import sys
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator
 
 from . import __version__
-from .core import (ENUMERATION_CAP, CapExceeded, ParseError, enumerate_snakes,
-                   index_set, parse_sp, springer)
+from .core import (ENUMERATION_CAP, CapExceeded, IndexSet, ParseError, SignedPermutation,
+                   enumerate_snakes, index_set, parse_sp, springer)
 from .normalform import (BACKENDS, REWRITE_CAP, SOLVE_CAP,
                          coefficient_range_experiment, normal_form)
 from .oracle import (CHECKS, ORACLE_CAP, VERIFY_CAP, chain_of,
                      check_betti_identity, check_relations_vanish,
                      solve_in_snake_cycles, verify_suite)
 from .relations import ConventionError
-from .ring import (BETTI_CAP, RING_TABLE_CAP, _record, _ring_products, betti_table,
+from .ring import (BETTI_CAP, RING_TABLE_CAP, _ring_products, _snake_json, betti_table,
                    cup_basis)
 
 
@@ -136,12 +139,40 @@ def cmd_betti(args) -> int:
     return 0
 
 
+def _ring_table_lines(n: int, cap: int) -> Iterator[str]:
+    """The ``ring-table --json`` output, one string per left snake: the
+    line ``json.dumps(_record(left, right, product))`` for each product,
+    spliced from parts encoded once each.  Those are every snake, and the
+    zero product of each support, which all but a few thousand share."""
+    snakes: dict[SignedPermutation, str] = {}
+    zeros: dict[IndexSet, str] = {}
+
+    def snake(x: SignedPermutation) -> str:
+        if x not in snakes:
+            snakes[x] = json.dumps(_snake_json(x))
+        return snakes[x]
+
+    for left, group in groupby(_ring_products(n, cap), key=itemgetter(0)):
+        head = '{"left": ' + snake(left) + ', "right": '
+        lines = []
+        for _, right, prod in group:
+            if prod:
+                body = json.dumps(prod.to_json(snake_basis=True))
+            elif prod.support in zeros:
+                body = zeros[prod.support]
+            else:
+                body = zeros[prod.support] = json.dumps(prod.to_json(snake_basis=True))
+            lines.append(f'{head}{snake(right)}, "product": {body}}}\n')
+        yield "".join(lines)
+
+
 def cmd_ring_table(args) -> int:
     cap = args.unsafe_cap or RING_TABLE_CAP
-    for left, right, prod in _ring_products(args.n, cap):
-        if args.json:
-            print(json.dumps(_record(left, right, prod)))
-        else:
+    if args.json:
+        for text in _ring_table_lines(args.n, cap):
+            sys.stdout.write(text)
+    else:
+        for left, right, prod in _ring_products(args.n, cap):
             print(f"{left} * {right} = {prod}")
     return 0
 

@@ -5,14 +5,19 @@ dict {key: Fraction} with no zero entries, plus the vector-space
 operations.  ``relations.LinComb`` (keys are signed permutations) and the
 oracle's simplicial and join chains (keys are simplices) subclass it.
 
-``SparseEchelon`` is incremental row-echelon elimination.  Rows live in
-dicts {column: integer coefficient} and are kept primitive (content 1,
-positive leading coefficient).  Columns are plain integers and the
-elimination priority is the natural integer order, so callers encode
-their pivot preference in the column indexing.  No back-substitution is
-performed: a registered pivot row may still mention later pivot columns,
-and vector reduction simply walks columns monotonically, which terminates
-because a pivot row's off-pivot entries all sit at strictly later columns.
+``SparseEchelon`` is incremental row-echelon elimination over the
+integers.  Rows live in dicts {column: integer coefficient} with no zero
+entries, and pivot rows are kept primitive (content 1, positive leading
+coefficient).  Columns are plain integers and the elimination priority is
+the natural integer order, so callers encode their pivot preference in the
+column indexing.  No back-substitution is performed: a pivot row may
+still mention later pivot columns.  One loop does every elimination: it
+pops the columns of the working row in increasing order from a heap,
+which terminates because a pivot row's other entries all sit at strictly
+later columns.  A pivot coefficient a > 1 scales the working row instead
+of dividing, and the loop tracks the product of those scale factors as
+one denominator, so a rational vector is reduced exactly by clearing its
+denominators once and dividing the integer remainder once at the end.
 
 ``BasisSolver`` is the one coordinate solver: it finds the coordinates of
 a vector in a fixed basis by augmented echelon elimination.
@@ -21,10 +26,9 @@ a vector in a fixed basis by augmented echelon elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping
-
-_REGULARIZE_BOUND = 1 << 63  # renormalize integer rows past this magnitude
 
 
 class SparseVector:
@@ -84,20 +88,6 @@ class SparseVector:
         return self.scale(factor)
 
 
-def _normalize(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        for k in row:
-            row[k] //= g
-    if row and row[min(row)] < 0:
-        for k in row:
-            row[k] = -row[k]
-
-
 class SparseEchelon:
     """Incremental echelon form; one pivot row per leading column."""
 
@@ -110,66 +100,82 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_row(self, row: dict[int, int]) -> bool:
-        """Reduce a row against the current pivots; register it if nonzero.
+    def add_row(self, row: Mapping[int, int]) -> bool:
+        """Reduce an integer row against the current pivots; register it,
+        made primitive with a positive leading entry, if nonzero.
 
         Returns True when the row increased the rank.
         """
-        row = self._reduce_int(dict(row))
+        row, _ = self._reduce(row, True)
         if not row:
             return False
-        _normalize(row)
-        self.pivots[min(row)] = row
+        lead = min(row)
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            for k in row:
+                row[k] //= g
+        self.pivots[lead] = row
         return True
 
-    def _reduce_int(self, row: dict[int, int]) -> dict[int, int]:
-        while row:
-            c = min(row)
-            piv = self.pivots.get(c)
-            if piv is None:
-                return row
-            a = piv[c]
-            b = row.pop(c)
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            if ma != 1:
-                for k in row:
-                    row[k] *= ma
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = row.get(k, 0) - mb * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            if row and max(map(abs, row.values())) > _REGULARIZE_BOUND:
-                _normalize(row)
-        return row
-
-    def reduce_vector(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce_vector(self, vec: Mapping[int, int | Fraction]) -> dict[int, Fraction]:
         """Eliminate every pivot column from an exact rational vector.
 
         The remainder is supported on non-pivot columns only; it is zero
         exactly when the input lies in the row space.
         """
-        out = {k: Fraction(v) for k, v in vec.items() if v}
-        while True:
-            c = min((k for k in out if k in self.pivots), default=None)
-            if c is None:
-                return out
-            piv = self.pivots[c]
-            mult = out.pop(c) / piv[c]
+        den = lcm(*(v.denominator for v in vec.values()))
+        row, d = self._reduce({k: v.numerator * (den // v.denominator)
+                               for k, v in vec.items()}, False)
+        den *= d
+        return {k: Fraction(v, den) for k, v in row.items()}
+
+    def _reduce(self, row: Mapping[int, int], leading_only: bool) -> tuple[dict[int, int], int]:
+        """(rest, d) with rest / d = row minus a combination of pivot rows.
+
+        Columns are visited in increasing order; ``leading_only`` stops at
+        the first one without a pivot, otherwise every pivot column is
+        eliminated.  A pivot entry a > 1 scales the row by a / gcd(a, b)
+        before subtracting, and d is the product of those factors.
+        """
+        row = {k: v for k, v in row.items() if v}
+        pivots, d = self.pivots, 1
+        # a full reduction only ever needs to visit pivot columns
+        heap = [k for k in row if leading_only or k in pivots]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            b = row.get(c)
+            if b is None:  # cancelled, or a stale duplicate of a visited column
+                continue
+            piv = pivots.get(c)
+            if piv is None:  # leading_only: the first column without a pivot
+                break
+            del row[c]
+            a = piv[c]
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    d *= a
+                    for k in row:
+                        row[k] *= a
             for k, v in piv.items():
                 if k == c:
                     continue
-                nv = out.get(k, 0) - mult * v
-                if nv:
-                    out[k] = nv
+                nv = row.get(k)
+                if nv is None:
+                    row[k] = -b * v
+                    if leading_only or k in pivots:
+                        heappush(heap, k)
+                elif nv := nv - b * v:
+                    row[k] = nv
                 else:
-                    out.pop(k, None)
+                    del row[k]
+        return row, d
 
-    def contains(self, vec: dict[int, Fraction]) -> bool:
+    def contains(self, vec: Mapping[int, int | Fraction]) -> bool:
         return not self.reduce_vector(vec)
 
 

@@ -11,7 +11,7 @@ the free vector space Q<S^B_I> by which it is divided to reach the snake basis:
   * H5 resolves a leading descent on an odd-length word (twelve terms).
 
 ``relation_matrix`` assembles every generator instance into a sparse
-row-echelon form over exact rationals, with columns ordered so that snake
+row-echelon form over the integers, with columns ordered so that snake
 words come last; reducing any vector against it therefore rewrites it into
 the snake basis.  The quotient has dimension springer(|I|), i.e. the rank
 equals 2^r * r! - springer(r).

@@ -122,8 +122,15 @@ def cup_basis(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
     as_snake(beta)
     s1, s2 = set(alpha.support), set(beta.support)
     if (s1 & s2) or (len(s1) * len(s2)) % 2 != 0:
-        return LinComb.zero(s1 ^ s2)
+        return _zero(frozenset(s1 ^ s2))
     return _cup_cached(alpha, beta)
+
+
+@lru_cache(maxsize=1024)  # room for every support inside [10]
+def _zero(support: frozenset[int]) -> LinComb:
+    """The zero product on one support, shared by every vanishing pair
+    (LinComb is immutable)."""
+    return LinComb.zero(support)
 
 
 @lru_cache(maxsize=_CUP_CACHE_SIZE)
@@ -276,15 +283,18 @@ def _ring_products(n: int, cap: int = RING_TABLE_CAP
         for left in basis[i1]:
             for i2 in supports:
                 table = tables.get(i2, {})
-                zero = LinComb.zero(set(i1) ^ set(i2))
+                zero = _zero(frozenset(i1) ^ frozenset(i2))
                 for right in basis[i2]:
                     terms = table.get((left.word, right.word))
                     yield left, right, _product(i1 + i2, terms) if terms else zero
 
 
+def _snake_json(x: SignedPermutation) -> dict:
+    return {"support": list(x.support), "word": list(x.word)}
+
+
 def _record(left: SignedPermutation, right: SignedPermutation, prod: LinComb) -> dict:
-    return {"left": {"support": list(left.support), "word": list(left.word)},
-            "right": {"support": list(right.support), "word": list(right.word)},
+    return {"left": _snake_json(left), "right": _snake_json(right),
             "product": prod.to_json(snake_basis=True)}
 
 

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from bsnakes.core import (CapExceeded, enumerate_signed_perms,
+from bsnakes.core import (CapExceeded, SignedPermutation, enumerate_signed_perms,
                           enumerate_snakes, parse_sp, springer, star)
 from bsnakes.normalform import normal_form
 from bsnakes.oracle import (ORACLE_CAP, CheckResult, JoinChain,
@@ -216,6 +217,16 @@ def test_solve_identity_on_snakes():
 def test_solve_matches_normal_form(I):
     for x in enumerate_signed_perms(I):
         assert solve_in_snake_cycles(chain_of(x), I) == normal_form(x)
+
+
+def test_solve_matches_normal_form_past_five_letters():
+    # every permutation of a 6-set once, the j-th signed by the bits of
+    # j mod 64, so that every sign pattern occurs 11 or 12 times
+    S = (2, 3, 5, 7, 8, 9)
+    for j, perm in enumerate(itertools.permutations(S)):
+        x = SignedPermutation(tuple(-m if (j % 64) >> k & 1 else m
+                                    for k, m in enumerate(perm)))
+        assert solve_in_snake_cycles(chain_of(x), S, cap=6) == normal_form(x), x
 
 
 def test_solve_rejects_foreign_simplices():

@@ -8,7 +8,7 @@ from bsnakes.core import (EMPTY, CapExceeded, _snake_words, enumerate_snakes,
 from bsnakes.normalform import normal_form
 from bsnakes.relations import LinComb
 from bsnakes.ring import (_CUP_CACHE_SIZE, RestrictionContext, RingElement,
-                          _cup_cached, _cup_split, betti, betti_table, cup,
+                          _cup_cached, _cup_split, _zero, betti, betti_table, cup,
                           cup_basis, graded_basis, is_restrictable, kappa,
                           ring_table)
 
@@ -232,6 +232,14 @@ def test_vanishing_products_skip_the_cache():
     assert not cup_basis(sp("[1]"), sp("[2]"))
     assert not cup_basis(sp("[21]"), sp("[3-1]"))
     assert _cup_cached.cache_info().currsize == before
+
+
+def test_vanishing_products_share_one_zero_per_support():
+    zero = cup_basis(sp("[1]"), sp("[2]"))
+    assert zero == LinComb.zero((1, 2)) and zero.support == (1, 2)
+    assert cup_basis(sp("[2]"), sp("[1]")) is zero
+    assert cup_basis(sp("[21]"), sp("[3-1]")) is not zero  # another support
+    assert _zero.cache_info().maxsize is not None
 
 
 def test_split_table_is_every_product_of_the_split():
