@@ -36,6 +36,12 @@ class CapExceeded(ValueError):
     """A desk-scale safety cap was exceeded; pass a larger cap to override."""
 
 
+def _check_cap(name: str, size: int, what: str, cap: int) -> None:
+    """Raise CapExceeded("<name> = <size> exceeds <what> cap <cap>") if size > cap."""
+    if size > cap:
+        raise CapExceeded(f"{name} = {size} exceeds {what} cap {cap}")
+
+
 class ParseError(ValueError):
     """Malformed bracket notation; carries the offending position."""
 
@@ -130,6 +136,7 @@ def parse_sp(text: str) -> SignedPermutation:
         raise ParseError("expected trailing ']'", len(text) - 1)
     inner = text[1:-1]
     word: list[int] = []
+    at_text: list[int] = []  # text index of each letter's digit
     slashes: list[tuple[int, int]] = []  # (letters seen before, index in text)
     i = 0
     while i < len(inner):
@@ -150,6 +157,7 @@ def parse_sp(text: str) -> SignedPermutation:
         if ch not in "123456789":  # ASCII only; str.isdigit admits other scripts
             raise ParseError(f"unexpected character {ch!r}", i + 1)
         word.append(sign * int(ch))
+        at_text.append(i + 1)
         i += 1
     r = len(word)
     previous = None
@@ -163,7 +171,7 @@ def parse_sp(text: str) -> SignedPermutation:
     mags = [abs(v) for v in word]
     for j, m in enumerate(mags):
         if m in mags[:j]:
-            raise ParseError(f"duplicate magnitude {m}", j + 1)
+            raise ParseError(f"duplicate magnitude {m}", at_text[j])
     return SignedPermutation(tuple(word))
 
 
@@ -278,8 +286,7 @@ def enumerate_signed_perms(I: Iterable[int], cap: int = ENUMERATION_CAP
                            ) -> Iterator[SignedPermutation]:
     """All 2^r * r! signed permutations on I, in lexicographic word order."""
     elems = index_set(I)
-    if len(elems) > cap:
-        raise CapExceeded(f"|I| = {len(elems)} exceeds enumeration cap {cap}")
+    _check_cap("|I|", len(elems), "enumeration", cap)
     for w in _words_lex(frozenset(elems)):
         yield SignedPermutation(w)
 
@@ -341,8 +348,7 @@ def springer(r: int, cap: int = ENUMERATION_CAP) -> int:
     """Number of B-snakes on any r-element set, by enumeration (memoized)."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r > cap:
-        raise CapExceeded(f"r = {r} exceeds springer cap {cap}")
+    _check_cap("r", r, "springer", cap)
     return sum(1 for _ in _snake_words(frozenset(range(1, r + 1))))
 
 

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 ``SparseVector`` is the one keyed exact sparse vector of the package: a
-dict {key: Fraction} with no zero entries, plus the vector-space
-operations.  ``relations.LinComb`` (keys are signed permutations) and the
-oracle's simplicial and join chains (keys are simplices) subclass it.
+dict {key: int or Fraction} with no zero entries, plus the vector-space
+operations.  Integral values are stored as ints, so integer chains never
+touch ``Fraction`` arithmetic.  The oracle's simplicial and join chains
+(keys are simplices) subclass it, and so does ``relations.LinComb`` (keys
+are signed permutations), which keeps its own Fraction coefficients.
 
 ``SparseEchelon`` is incremental row-echelon elimination over the
 integers.  Rows live in dicts {column: integer coefficient} with no zero
@@ -31,8 +33,18 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 
+def _exact(c: int | Fraction) -> int | Fraction:
+    """c as an int when it is integral, otherwise as a Fraction."""
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
 class SparseVector:
-    """Exact sparse vector: ``terms`` maps keys to nonzero Fractions.
+    """Exact sparse vector: ``terms`` maps keys to nonzero values, each an
+    int when integral and a Fraction otherwise.
 
     Subclasses fix the key type.  Arithmetic builds its result through
     ``_like``, so it keeps the subclass (and whatever else ``_like``
@@ -43,17 +55,18 @@ class SparseVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        self.terms: dict = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+        self.terms: dict = {k: _exact(c) for k, c in (terms or {}).items() if c}
 
     def _like(self, terms: dict) -> "SparseVector":
         return type(self)(terms)
 
     @staticmethod
     def combine(pairs: Iterable[tuple[int | Fraction, Mapping]]) -> dict:
-        """The sum of c * v over pairs (c, v) with v a {key: Fraction}
+        """The sum of c * v over pairs (c, v) with v a {key: value}
         mapping, accumulated in one dict that never holds a zero."""
         out: dict = {}
         for c, v in pairs:
+            c = _exact(c)
             for k, x in v.items():
                 val = out.get(k, 0) + c * x
                 if val:
@@ -81,7 +94,7 @@ class SparseVector:
         return self.scale(-1)
 
     def scale(self, factor: int | Fraction) -> "SparseVector":
-        f = Fraction(factor)
+        f = _exact(factor)
         return self._like({k: f * c for k, c in self.terms.items()})
 
     def __rmul__(self, factor: int | Fraction) -> "SparseVector":

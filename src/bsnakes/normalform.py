@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (CapExceeded, IndexSet, SignedPermutation, _format_word,
+from .core import (IndexSet, SignedPermutation, _check_cap, _format_word,
                    _is_snake_word, _word_lt, as_snake, enumerate_signed_perms,
                    index_set)
 from .linalg import SparseVector
@@ -114,9 +114,7 @@ def _nf_canonical(cw: Word) -> dict[Word, int]:
 
 def _check_rewrite_cap(r: int, cap: int | None = None) -> None:
     """Raise CapExceeded when r letters exceed the rewrite cap."""
-    limit = REWRITE_CAP if cap is None else cap
-    if r > limit:
-        raise CapExceeded(f"r = {r} exceeds rewrite cap {limit}")
+    _check_cap("r", r, "rewrite", REWRITE_CAP if cap is None else cap)
 
 
 def normal_form(x: SignedPermutation, backend: str = "rewrite",
@@ -132,8 +130,7 @@ def normal_form(x: SignedPermutation, backend: str = "rewrite",
         return LinComb(x.support,
                        {SignedPermutation(w): sign * c for w, c in table.items()})
     limit = SOLVE_CAP if cap is None else cap
-    if r > limit:
-        raise CapExceeded(f"r = {r} exceeds solve cap {limit}")
+    _check_cap("r", r, "solve", limit)
     return relation_matrix(x.support, limit).reduce_to_snakes(LinComb.single(x))
 
 
@@ -199,8 +196,7 @@ def coefficient_range_experiment(I, backend: str = "rewrite",
                                  cap: int = SOLVE_CAP) -> CoefficientReport:
     """Scan every x on I and tabulate the nonzero snake coefficients."""
     sup = index_set(I)
-    if len(sup) > cap:
-        raise CapExceeded(f"|I| = {len(sup)} exceeds experiment cap {cap}")
+    _check_cap("|I|", len(sup), "experiment", cap)
     report = CoefficientReport(sup)
     for x in enumerate_signed_perms(sup):
         report.words += 1

@@ -13,12 +13,14 @@ so that the two routes can referee each other:
   * ``chain_of(x)`` realizes a signed permutation as the fundamental cycle
     of an embedded cross-polytope boundary: one simplex per choice of
     x-or-star(x) at each level, signed by the number of star choices.
+    Chains are integer vectors: no ``Fraction`` arithmetic builds them.
   * ``solve_in_snake_cycles`` expresses any top-dimensional cycle in the
     basis of snake cycles by an exact linear solve (top dimension means
     homology equals the cycle space, so no quotient is needed).
   * ``join_image`` pushes a snake cycle through the factor retractions
     into the join of two hat complexes, the simplicial carrier of the
-    cup product.
+    cup product.  The product check compares it, as a chain, with the
+    product's coefficients times the joins of snake cycles.
   * ``verify_suite`` sweeps the named structural facts and reports
     failures with counterexample payloads.
 
@@ -35,9 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .core import (CapExceeded, IndexSet, SignedPermutation, SignedSubset, _subsets,
-                   enumerate_snakes, f_set, index_set, is_snake, restrict_p,
-                   springer, star)
+from .core import (IndexSet, SignedPermutation, SignedSubset, _check_cap, _subsets,
+                   enumerate_snakes, f_set, index_set, restrict_p, springer, star)
 from .linalg import BasisSolver, SparseEchelon, SparseVector
 from .relations import ConventionError, LinComb, generator_instances
 
@@ -125,8 +126,7 @@ class NestedChainComplex:
 def hat_complex(I: Iterable[int], cap: int = ORACLE_CAP) -> NestedChainComplex:
     """Complex of odd-cardinality signed subsets over +/-I, nested chains."""
     sup = index_set(I)
-    if len(sup) > cap:
-        raise CapExceeded(f"|I| = {len(sup)} exceeds oracle cap {cap}")
+    _check_cap("|I|", len(sup), "oracle", cap)
     return _hat_complex(sup)
 
 
@@ -141,13 +141,17 @@ def _hat_complex(sup: IndexSet) -> NestedChainComplex:
     return NestedChainComplex(verts, f"hat{sup}")
 
 
-@lru_cache(maxsize=None)
-def full_subcomplex(n: int, J: IndexSet, cap: int = FULLSUB_CAP) -> NestedChainComplex:
+def full_subcomplex(n: int, J: Iterable[int], cap: int = FULLSUB_CAP) -> NestedChainComplex:
     """Induced subcomplex of the full nested-chain complex on [n] spanned by
     vertices whose signed incidence with J has odd cardinality."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds full-subcomplex cap {cap}")
-    Jset = set(index_set(J))
+    _check_cap("n", n, "full-subcomplex", cap)
+    return _full_subcomplex(n, index_set(J))
+
+
+@lru_cache(maxsize=None)
+def _full_subcomplex(n: int, J: IndexSet) -> NestedChainComplex:
+    """One build per (n, J), however ``full_subcomplex`` was called."""
+    Jset = set(J)
     verts = []
     for signs in itertools.product((0, 1, -1), repeat=n):
         L = frozenset(s * (i + 1) for i, s in enumerate(signs) if s)
@@ -155,7 +159,7 @@ def full_subcomplex(n: int, J: IndexSet, cap: int = FULLSUB_CAP) -> NestedChainC
             continue
         if sum(1 for m in Jset if m in L or -m in L) % 2 == 1:
             verts.append(L)
-    return NestedChainComplex(verts, f"fullsub(n={n}, J={tuple(sorted(Jset))})")
+    return NestedChainComplex(verts, f"fullsub(n={n}, J={J})")
 
 
 def retract_pi(sigma: Simplex, J: Iterable[int]) -> Simplex | None:
@@ -170,16 +174,16 @@ def retract_pi(sigma: Simplex, J: Iterable[int]) -> Simplex | None:
 
 
 class SimplicialChain(SparseVector):
-    """Exact rational chain keyed by nested vertex chains."""
+    """Exact chain keyed by nested vertex chains (integral values are ints)."""
 
     __slots__ = ()
 
     def boundary(self) -> "SimplicialChain":
-        out: dict[Simplex, Fraction] = {}
+        out: dict[Simplex, int | Fraction] = {}
         for sigma, c in self.terms.items():
             for i in range(len(sigma)):
                 face = sigma[:i] + sigma[i + 1:]
-                out[face] = out.get(face, Fraction(0)) + c * (-1) ** i
+                out[face] = out.get(face, 0) + (-c if i % 2 else c)
         return SimplicialChain(out)
 
 
@@ -192,14 +196,14 @@ def chain_of(x: SignedPermutation) -> SimplicialChain:
     """
     k = (x.r + 1) // 2
     if k == 0:
-        return SimplicialChain({(): Fraction(1)})
+        return SimplicialChain({(): 1})
     sx = star(x)
     levels = [(f_set(x, i), f_set(sx, i)) for i in range(1, k + 1)]
-    terms: dict[Simplex, Fraction] = {}
+    terms: dict[Simplex, int] = {}
     for choice in itertools.product((0, 1), repeat=k):
         sigma = tuple(levels[i][choice[i]] for i in range(k))
         sign = -1 if sum(choice) % 2 else 1
-        terms[sigma] = terms.get(sigma, Fraction(0)) + sign
+        terms[sigma] = terms.get(sigma, 0) + sign
     return SimplicialChain(terms)
 
 
@@ -265,22 +269,22 @@ def _top_dim(I: IndexSet) -> int:
 
 
 class _TopCycleSolver:
-    """Coordinates of top-dimensional chains in a basis of top cycles.
+    """Coordinates of top chains of hat(I) in the basis of its snake cycles;
+    building one proves those cycles independent.  ``top_index`` numbers
+    the top simplices and ``labels[j]`` is the snake of basis cycle j."""
 
-    ``top_index`` numbers the top simplices, ``labels[j]`` names the j-th
-    basis cycle, and ``where`` names the complex in error messages.
-    """
-
-    def __init__(self, where: str, top_index: dict, labels: list,
-                 cycles: Iterable[SparseVector]):
-        self.where, self.top_index, self.labels = where, top_index, labels
-        self.basis = BasisSolver(len(top_index), (
-            {top_index[s]: int(c) for s, c in cycle.terms.items()} for cycle in cycles))
+    def __init__(self, sup: IndexSet):
+        self.where = f"hat{sup}"
+        self.top_index = _hat_complex(sup).simplex_index(_top_dim(sup))
+        self.labels = enumerate_snakes(sup)
+        self.basis = BasisSolver(len(self.top_index), (
+            {self.top_index[s]: c for s, c in chain_of(alpha).terms.items()}
+            for alpha in self.labels))
         if not self.basis.independent:
-            raise ConventionError(f"basis cycles on {where} are not independent")
+            raise ConventionError(f"basis cycles on {self.where} are not independent")
 
-    def solve(self, chain: SparseVector) -> dict:
-        vec: dict[int, Fraction] = {}
+    def solve(self, chain: SimplicialChain) -> dict:
+        vec: dict[int, int | Fraction] = {}
         for s, c in chain.terms.items():
             if s not in self.top_index:
                 raise ValueError(f"{s} is not a top simplex of {self.where}")
@@ -292,19 +296,15 @@ class _TopCycleSolver:
         return {self.labels[j]: c for j, c in coords.items()}
 
 
-@lru_cache(maxsize=None)
-def _cycle_solver(sup: IndexSet, cap: int) -> _TopCycleSolver:
-    """Top cycles of hat(I) in the basis of snake cycles."""
-    snakes = enumerate_snakes(sup)
-    return _TopCycleSolver(f"hat{sup}", hat_complex(sup, cap).simplex_index(_top_dim(sup)),
-                           snakes, (chain_of(alpha) for alpha in snakes))
+_cycle_solver = lru_cache(maxsize=None)(_TopCycleSolver)  # one build per support
 
 
 def solve_in_snake_cycles(chain: SimplicialChain, I: Iterable[int],
                           cap: int = ORACLE_CAP) -> LinComb:
     """Unique coefficients with chain = sum of coeff * chain_of(snake)."""
     sup = index_set(I)
-    return LinComb(sup, _cycle_solver(sup, cap).solve(chain))
+    _check_cap("|I|", len(sup), "oracle", cap)
+    return LinComb(sup, _cycle_solver(sup).solve(chain))
 
 
 # --- simplicial joins -------------------------------------------------------
@@ -340,7 +340,7 @@ def join_image(z: SignedPermutation, I1: Iterable[int], I2: Iterable[int]
         raise ValueError(f"support {z.support} is not the union of {i1} and {i2}")
     pm1 = {m for j in i1 for m in (j, -j)}
     pm2 = {m for j in i2 for m in (j, -j)}
-    out: dict[JoinSimplex, Fraction] = {}
+    out: dict[JoinSimplex, int] = {}
     for sigma, coeff in chain_of(z).terms.items():
         in_first = [len(v & pm1) % 2 == 1 for v in sigma]
         inversions = 0
@@ -356,7 +356,7 @@ def join_image(z: SignedPermutation, I1: Iterable[int], I2: Iterable[int]
             continue  # degenerate retraction
         key = (tuple(f1), tuple(f2))
         sign = -1 if inversions % 2 else 1
-        out[key] = out.get(key, Fraction(0)) + sign * coeff
+        out[key] = out.get(key, 0) + sign * coeff
     return JoinChain(out)
 
 
@@ -371,17 +371,6 @@ def join_closed_form(z: SignedPermutation, I1: Iterable[int], I2: Iterable[int]
     sign = (-1) ** kappa(z, ctx)
     return join_chains(chain_of(restrict_p(z, ctx.i1)),
                        chain_of(restrict_p(z, ctx.i2))).scale(sign)
-
-
-@lru_cache(maxsize=None)
-def _join_solver(i1: IndexSet, i2: IndexSet, cap: int) -> _TopCycleSolver:
-    """Top join cycles of hat(I1) * hat(I2) in the basis of snake-cycle
-    joins chain_of(alpha) * chain_of(beta), labelled by (alpha, beta)."""
-    tops = [hat_complex(i, cap).simplices(_top_dim(i)) for i in (i1, i2)]
-    pairs = [(a, b) for a in enumerate_snakes(i1) for b in enumerate_snakes(i2)]
-    return _TopCycleSolver(f"hat{i1} * hat{i2}",
-                           {s: m for m, s in enumerate(itertools.product(*tops))},
-                           pairs, (join_chains(chain_of(a), chain_of(b)) for a, b in pairs))
 
 
 # --- verification driver ----------------------------------------------------
@@ -419,13 +408,13 @@ def _split_contexts(n: int) -> Iterator[tuple[IndexSet, IndexSet]]:
                     yield i1, i2
 
 
-def check_betti_identity(n: int, cap: int = ORACLE_CAP) -> CheckResult:
+def check_betti_identity(n: int) -> CheckResult:
     """Top reduced Betti number of hat(I) is springer(|I|); all lower vanish."""
     res = CheckResult("betti-identity")
     for I in _subsets(n):
-        if len(I) > cap:
+        if len(I) > ORACLE_CAP:
             continue
-        c = hat_complex(I, cap)
+        c = hat_complex(I)
         top = _top_dim(I)
         res.instances += 1
         got = reduced_betti(c, top)
@@ -440,12 +429,12 @@ def check_betti_identity(n: int, cap: int = ORACLE_CAP) -> CheckResult:
     return res
 
 
-def check_retraction_equivalence(n: int, cap: int = FULLSUB_CAP) -> CheckResult:
+def check_retraction_equivalence(n: int) -> CheckResult:
     """Reduced Betti numbers of the full subcomplex match the hat complex."""
     res = CheckResult("retraction-equivalence")
-    n = min(n, cap)
+    n = min(n, FULLSUB_CAP)
     for J in _subsets(n):
-        full = full_subcomplex(n, J, cap)
+        full = full_subcomplex(n, J)
         hat = hat_complex(J)
         for k in range(-1, max(full.dim, hat.dim) + 1):
             res.instances += 1
@@ -455,12 +444,12 @@ def check_retraction_equivalence(n: int, cap: int = FULLSUB_CAP) -> CheckResult:
     return res
 
 
-def check_relations_vanish(n: int, cap: int = ORACLE_CAP) -> CheckResult:
+def check_relations_vanish(n: int) -> CheckResult:
     """Every H1..H5 instance realizes to the zero chain (not merely to a
     boundary): the hat complex has no cells above the chains' dimension."""
     res = CheckResult("relations-vanish")
     for I in _subsets(n):
-        if not I or len(I) > cap:
+        if not I or len(I) > ORACLE_CAP:
             continue
         for label, comb in generator_instances(I):
             res.instances += 1
@@ -470,35 +459,35 @@ def check_relations_vanish(n: int, cap: int = ORACLE_CAP) -> CheckResult:
     return res
 
 
-def check_snake_cycles_independent(n: int, cap: int = ORACLE_CAP) -> CheckResult:
+def check_snake_cycles_independent(n: int) -> CheckResult:
     """Snake cycles span the top cycle space freely."""
     res = CheckResult("snake-cycle-basis")
     for I in _subsets(n):
-        if len(I) > cap:
+        if len(I) > ORACLE_CAP:
             continue
         res.instances += 1
         try:
-            _cycle_solver(I, cap)
+            _cycle_solver(I)
         except ConventionError as exc:
             res.record({"I": list(I), "error": str(exc)})
     return res
 
 
-def check_triple_agreement(n: int, cap: int = ORACLE_CAP) -> CheckResult:
+def check_triple_agreement(n: int) -> CheckResult:
     """normal_form via rewriting == via the relation matrix == via the
     oracle cycle solve, for every signed permutation."""
     from .core import enumerate_signed_perms
     from .normalform import normal_form
     res = CheckResult("normal-form-agreement")
     for I in _subsets(n):
-        if len(I) > cap:
+        if len(I) > ORACLE_CAP:
             continue
         for x in enumerate_signed_perms(I):
             res.instances += 1
             try:
                 nf_r = normal_form(x, backend="rewrite")
                 nf_s = normal_form(x, backend="solve")
-                nf_o = solve_in_snake_cycles(chain_of(x), I, cap)
+                nf_o = solve_in_snake_cycles(chain_of(x), I)
             except (ConventionError, ValueError) as exc:
                 res.record({"I": list(I), "x": str(x), "error": str(exc)})
                 continue
@@ -509,14 +498,14 @@ def check_triple_agreement(n: int, cap: int = ORACLE_CAP) -> CheckResult:
     return res
 
 
-def check_join_factorization(n: int, cap: int = ORACLE_CAP) -> CheckResult:
+def check_join_factorization(n: int) -> CheckResult:
     """join_image matches its closed form on every snake and every valid
     split; non-restrictable snakes map to the zero chain."""
     from .ring import RestrictionContext, is_restrictable
     res = CheckResult("join-factorization")
     for i1, i2 in _split_contexts(n):
         union = tuple(sorted(set(i1) | set(i2)))
-        if len(union) > cap:
+        if len(union) > ORACLE_CAP:
             continue
         ctx = RestrictionContext(i1, i2)
         for z in enumerate_snakes(union):
@@ -529,35 +518,30 @@ def check_join_factorization(n: int, cap: int = ORACLE_CAP) -> CheckResult:
     return res
 
 
-def check_cup_against_topology(n: int, cap: int = ORACLE_CAP) -> CheckResult:
-    """The algebraic cup product equals the simplicial pairing: the
-    coefficient of z in cup(alpha, beta) is the (alpha, beta)-coordinate of
-    join_image(z) in the snake-join basis."""
+def check_cup_against_topology(n: int) -> CheckResult:
+    """The algebraic cup product equals the simplicial pairing, on chains:
+    join_image(z) = sum of (coefficient of z in cup(alpha, beta)) *
+    chain_of(alpha) * chain_of(beta).  Each factor's snake cycles are
+    independent (building their solvers proves it), hence so are their
+    joins, and equal chains mean equal coefficients without any solve."""
     from .ring import _cup_split
     res = CheckResult("cup-topology")
     for i1, i2 in _split_contexts(n):
-        union = tuple(sorted(set(i1) | set(i2)))
-        if len(union) > cap:
+        if len(i1) + len(i2) > ORACLE_CAP:
             continue
-        solver = _join_solver(i1, i2, cap)
-        table = _cup_split(i1, i2)
-        pairs = [(a, b) for a in enumerate_snakes(i1) for b in enumerate_snakes(i2)]
-        for z in enumerate_snakes(union):
-            try:
-                coords = solver.solve(join_image(z, i1, i2))
-            except (ConventionError, ValueError) as exc:
-                res.instances += 1
-                res.record({"I1": list(i1), "I2": list(i2), "z": str(z),
-                            "error": str(exc)})
-                continue
-            for a, b in pairs:
-                res.instances += 1
-                want = coords.get((a, b), Fraction(0))
-                got = table.get((a.word, b.word), {}).get(z.word, 0)
-                if got != want:
-                    res.record({"I1": list(i1), "I2": list(i2), "z": str(z),
-                                "alpha": str(a), "beta": str(b),
-                                "cup": str(got), "oracle": str(want)})
+        for i in (i1, i2):
+            _cycle_solver(i)  # raises ConventionError if its snake cycles are dependent
+        snakes1, snakes2 = enumerate_snakes(i1), enumerate_snakes(i2)
+        cycles = {a.word: chain_of(a) for a in snakes1 + snakes2}
+        by_z: dict[tuple[int, ...], list] = {}  # z -> [(coefficient, join chain)]
+        for (a, b), products in _cup_split(i1, i2).items():
+            joined = join_chains(cycles[a], cycles[b]).terms
+            for z, c in products.items():
+                by_z.setdefault(z, []).append((c, joined))
+        for z in enumerate_snakes(i1 + i2):
+            res.instances += len(snakes1) * len(snakes2)
+            if join_image(z, i1, i2) != JoinChain(SparseVector.combine(by_z.get(z.word, ()))):
+                res.record({"I1": list(i1), "I2": list(i2), "z": str(z)})
     return res
 
 
@@ -577,8 +561,7 @@ VERIFY_CAP = 4
 def verify_suite(n: int, only: Iterable[str] | None = None,
                  cap: int = VERIFY_CAP) -> list[CheckResult]:
     """Run the named structural checks over all index sets inside [n]."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds verification cap {cap}")
+    _check_cap("n", n, "verification", cap)
     wanted = None if only is None else set(only)
     results = []
     for name, fn in CHECKS.items():

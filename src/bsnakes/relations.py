@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .core import (CapExceeded, IndexSet, SignedPermutation, _is_snake_word,
+from .core import (IndexSet, SignedPermutation, _check_cap, _is_snake_word,
                    _words_lex, index_set, is_snake)
 from .linalg import SparseEchelon, SparseVector
 
@@ -263,8 +263,7 @@ class RelationMatrix:
 
     def __init__(self, I: Iterable[int], cap: int = RELATION_CAP):
         sup = index_set(I)
-        if len(sup) > cap:
-            raise CapExceeded(f"|I| = {len(sup)} exceeds relation cap {cap}")
+        _check_cap("|I|", len(sup), "relation", cap)
         self.support: IndexSet = sup
         self.columns: list[tuple[int, ...]] = sorted(_words_lex(frozenset(sup)),
                                                      key=_is_snake_word)
@@ -311,10 +310,13 @@ class RelationMatrix:
 
 
 @lru_cache(maxsize=None)
-def _relation_matrix_cached(sup: IndexSet, cap: int) -> RelationMatrix:
-    return RelationMatrix(sup, cap)
+def _relation_matrix_cached(sup: IndexSet) -> RelationMatrix:
+    """One build per support, whatever cap ``relation_matrix`` was given."""
+    return RelationMatrix(sup, len(sup))
 
 
 def relation_matrix(I: Iterable[int], cap: int = RELATION_CAP) -> RelationMatrix:
     """Memoized relation matrix for the given support."""
-    return _relation_matrix_cached(index_set(I), cap)
+    sup = index_set(I)
+    _check_cap("|I|", len(sup), "relation", cap)
+    return _relation_matrix_cached(sup)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
-from .core import (EMPTY, CapExceeded, IndexSet, SignedPermutation, _restrict_word,
+from .core import (EMPTY, IndexSet, SignedPermutation, _check_cap, _restrict_word,
                    _snake_words, _subsets, as_snake, enumerate_snakes, index_set,
                    springer)
 from .linalg import SparseVector
@@ -245,8 +245,7 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
 
 def betti(n: int, k: int, cap: int = BETTI_CAP) -> int:
     """Betti number in degree k: C(n,2k) b_{2k} + C(n,2k-1) b_{2k-1}."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds betti cap {cap}")
+    _check_cap("n", n, "betti", cap)
     if k < 0 or k > n:
         return 0
     total = 0
@@ -273,8 +272,7 @@ def _ring_products(n: int, cap: int = RING_TABLE_CAP
     """Every ordered product of basis snakes over [n] as (left, right,
     product), left outer and right inner in basis order.  Products come
     from the split tables of one left support at a time."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds ring-table cap {cap}")
+    _check_cap("n", n, "ring-table", cap)
     supports = _subsets(n)
     basis = {sup: enumerate_snakes(sup) for sup in supports}
     for i1 in supports:

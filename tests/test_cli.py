@@ -249,6 +249,8 @@ STDOUT_SHA256 = {
         "d05a8ed5f596074208cbee65fc2e2c04113580e6db57d9e9399410744bb8fb07",
     ("verify", "--n", "3", "--json"):
         "fd29c560768fc3bef3a1a397006d7b50e512e700ba1929df75df71e8c422fba3",
+    ("verify", "--n", "4", "--json"):
+        "0757ddbe6e78f040319a99a753977c9780bfddf13a21ccab40ecc04ce6671a21",
     ("normal-form", "--check-oracle", "--json", "[1/23]"):
         "ecd41def56b4b98353b4690d8029e2a9f43deeabdc825d74dba1406b0d9fd356",
     ("ring-table", "--n", "4", "--json"):

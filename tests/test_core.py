@@ -68,6 +68,29 @@ def test_parse_error_positions():
     with pytest.raises(ParseError, match="pair boundary") as exc:
         sp("[1-3/2-5-4]")
     assert exc.value.position == 4
+    # a repeated magnitude points at the repeated digit's text index
+    for text, at in [("[1/21]", 4), ("[-3-3]", 4), ("[12/31]", 5), ("[1-1]", 3)]:
+        with pytest.raises(ParseError, match="duplicate magnitude") as exc:
+            sp(text)
+        assert exc.value.position == at, text
+
+
+_PARSE_ALPHABET = "[]/-0123456789x "
+
+
+@given(st.text(_PARSE_ALPHABET, max_size=12)
+       | st.text(_PARSE_ALPHABET, max_size=10).map(lambda inner: f"[{inner}]"))
+@settings(max_examples=500, deadline=None)
+def test_parse_accepts_or_points_into_the_text(text):
+    try:
+        x = sp(text)
+    except ParseError as exc:
+        # the empty text has no index; its error sits at 0
+        assert 0 <= exc.position < max(len(text), 1), text
+        if "duplicate magnitude" in str(exc):
+            assert text[exc.position] == str(exc).split()[2], text
+    else:
+        assert sp(format_sp(x)) == x
 
 
 def test_partial_separators_validated():

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from bsnakes import ring
 from bsnakes.core import (CapExceeded, SignedPermutation, enumerate_signed_perms,
                           enumerate_snakes, parse_sp, springer, star)
 from bsnakes.normalform import normal_form
-from bsnakes.oracle import (ORACLE_CAP, CheckResult, JoinChain,
+from bsnakes.oracle import (CheckResult, JoinChain,
                             NestedChainComplex, SimplicialChain,
-                            _join_solver, boundary_matrix, chain_of,
+                            _cycle_solver, boundary_matrix, chain_of,
                             chain_of_lincomb, check_betti_identity,
-                            full_subcomplex, hat_complex, join_chains,
-                            join_closed_form, join_image, reduced_betti,
-                            retract_pi, solve_in_snake_cycles, verify_suite)
-from bsnakes.relations import ConventionError, LinComb, generator_instances
+                            check_cup_against_topology, full_subcomplex,
+                            hat_complex, join_chains, join_closed_form,
+                            join_image, reduced_betti, retract_pi,
+                            solve_in_snake_cycles, verify_suite)
+from bsnakes.relations import (ConventionError, LinComb, generator_instances,
+                               relation_matrix)
 
 
 def sp(text):
@@ -59,6 +62,21 @@ def test_hat_complex_built_once_per_support():
     assert hat_complex((1, 2)) is hat_complex([2, 1], 6)
     with pytest.raises(CapExceeded):
         hat_complex((1, 2, 3), 2)
+
+
+def test_builders_are_cached_by_what_they_build():
+    # the cap is checked where the caller enters, never part of a cache key
+    chain = chain_of(sp("[3/-58]"))
+    misses = _cycle_solver.cache_info().misses
+    for cap in (5, 6):
+        solve_in_snake_cycles(chain, (3, 5, 8), cap=cap)
+    assert _cycle_solver.cache_info().misses - misses <= 1
+    with pytest.raises(CapExceeded):
+        solve_in_snake_cycles(chain, (3, 5, 8), cap=2)
+    assert relation_matrix((2, 4, 6)) is relation_matrix([6, 4, 2], 6)
+    assert full_subcomplex(3, [1]) is full_subcomplex(3, (1,), 4)
+    with pytest.raises(CapExceeded):
+        full_subcomplex(3, [1], 2)
 
 
 def test_empty_complex():
@@ -247,14 +265,48 @@ def test_solve_rejects_chains_outside_the_snake_cycle_span():
         solve_in_snake_cycles(SimplicialChain({top[:1]: 1}), (1, 2, 3))
 
 
-def test_join_solver_rejects_chains_outside_the_snake_join_span():
-    solver = _join_solver((1,), (2, 3), ORACLE_CAP)
-    s1 = hat_complex((1,)).simplices(0)[0]
-    s2 = hat_complex((2, 3)).simplices(0)[0]
-    with pytest.raises(ConventionError, match=r"\(1,\).*\(2, 3\)"):
-        solver.solve(JoinChain({(s1, s2): 1}))
-    with pytest.raises(ValueError):
-        solver.solve(JoinChain({(s1, ()): 1}))
+def test_cup_referee_flags_perturbed_products(monkeypatch):
+    clean = check_cup_against_topology(4)
+    assert clean.passed
+    # a wrong sign rule: every crossing count read as zero
+    monkeypatch.setattr(ring, "_kappa_word", lambda w, side: 0)
+    kappa_mutant = check_cup_against_topology(4)
+    assert not kappa_mutant.passed
+    assert kappa_mutant.instances == clean.instances
+    monkeypatch.undo()
+    # one coefficient of one split table negated: exactly that z is flagged
+    cup_split = ring._cup_split
+    flipped = []
+
+    def one_flipped(i1, i2, *rest):
+        table = cup_split(i1, i2, *rest)
+        if (tuple(i1), tuple(i2)) == ((1, 2), (3, 4)):
+            products = table[min(table)]
+            z = min(products)
+            products[z] = -products[z]
+            flipped.append(z)
+        return table
+
+    monkeypatch.setattr(ring, "_cup_split", one_flipped)
+    res = check_cup_against_topology(4)
+    assert res.failures == [{"I1": [1, 2], "I2": [3, 4],
+                             "z": str(SignedPermutation(flipped[0]))}]
+    assert res.instances == clean.instances
+
+
+def test_chains_hold_int_values():
+    x = sp("[1/-32]")
+    top = next(iter(chain_of(x).terms))
+    for chain in (chain_of(x), SimplicialChain({top: 1}).boundary(),
+                  join_image(sp("[1-4/32]"), (1, 4), (2, 3)),
+                  chain_of_lincomb(LinComb.single(x, Fraction(3)))):
+        assert chain and all(type(c) is int for c in chain.terms.values())
+    # integral values are stored as ints, the rest stay exact Fractions
+    assert SimplicialChain({top: Fraction(4, 2)}).terms == {top: 2}
+    assert type(SimplicialChain({top: Fraction(4, 2)}).terms[top]) is int
+    half = SimplicialChain({top: 0.5}).terms[top]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert SimplicialChain({top: 1}).scale(Fraction(1, 2)).terms == {top: half}
 
 
 # --- joins -------------------------------------------------------------------------
