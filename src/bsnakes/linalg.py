@@ -20,9 +20,6 @@ later columns.  A pivot coefficient a > 1 scales the working row instead
 of dividing, and the loop tracks the product of those scale factors as
 one denominator, so a rational vector is reduced exactly by clearing its
 denominators once and dividing the integer remainder once at the end.
-
-``BasisSolver`` is the one coordinate solver: it finds the coordinates of
-a vector in a fixed basis by augmented echelon elimination.
 """
 
 from __future__ import annotations
@@ -191,37 +188,3 @@ class SparseEchelon:
     def contains(self, vec: Mapping[int, int | Fraction]) -> bool:
         return not self.reduce_vector(vec)
 
-
-class BasisSolver:
-    """Coordinates in a fixed basis of sparse integer vectors.
-
-    Basis vector j lives on the ambient columns 0..n_cols-1; it is
-    augmented with the label column n_cols + j before elimination.  The
-    basis is independent exactly when no pivot lands on a label column
-    (a dependent vector would reduce to a combination of labels).  A
-    vector in the span then reduces to a residue on label columns only,
-    and the negated residue is its coordinate vector.
-    """
-
-    __slots__ = ("n_cols", "echelon")
-
-    def __init__(self, n_cols: int, rows: Iterable[dict[int, int]]):
-        """``rows`` yields the basis vectors in label order; each dict is
-        augmented in place, so pass fresh ones."""
-        self.n_cols = n_cols
-        self.echelon = SparseEchelon()
-        for j, row in enumerate(rows):
-            row[n_cols + j] = 1
-            self.echelon.add_row(row)
-
-    @property
-    def independent(self) -> bool:
-        return all(p < self.n_cols for p in self.echelon.pivots)
-
-    def solve(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """Coordinates {j: c} with vec = sum of c * (basis vector j), or
-        None when vec lies outside the span."""
-        residue = self.echelon.reduce_vector(vec)
-        if any(col < self.n_cols for col in residue):
-            return None
-        return {col - self.n_cols: -val for col, val in residue.items()}

@@ -15,8 +15,9 @@ so that the two routes can referee each other:
     x-or-star(x) at each level, signed by the number of star choices.
     Chains are integer vectors: no ``Fraction`` arithmetic builds them.
   * ``solve_in_snake_cycles`` expresses any top-dimensional cycle in the
-    basis of snake cycles by an exact linear solve (top dimension means
-    homology equals the cycle space, so no quotient is needed).
+    basis of snake cycles (top dimension means homology equals the cycle
+    space, so no quotient is needed) by forward substitution along a peel
+    of those cycles, which also proves them independent.
   * ``join_image`` pushes a snake cycle through the factor retractions
     into the join of two hat complexes, the simplicial carrier of the
     cup product.  The product check compares it, as a chain, with the
@@ -35,11 +36,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .core import (IndexSet, SignedPermutation, SignedSubset, _check_cap, _subsets,
                    enumerate_snakes, f_set, index_set, restrict_p, springer, star)
-from .linalg import BasisSolver, SparseEchelon, SparseVector
+from .linalg import SparseEchelon, SparseVector
 from .relations import ConventionError, LinComb, generator_instances
 
 ORACLE_CAP = 5
@@ -155,9 +157,7 @@ def _full_subcomplex(n: int, J: IndexSet) -> NestedChainComplex:
     verts = []
     for signs in itertools.product((0, 1, -1), repeat=n):
         L = frozenset(s * (i + 1) for i, s in enumerate(signs) if s)
-        if not L:
-            continue
-        if sum(1 for m in Jset if m in L or -m in L) % 2 == 1:
+        if L and sum(1 for m in Jset if m in L or -m in L) % 2 == 1:
             verts.append(L)
     return NestedChainComplex(verts, f"fullsub(n={n}, J={J})")
 
@@ -194,16 +194,12 @@ def chain_of(x: SignedPermutation) -> SimplicialChain:
     taking the vertex F_i of the selected word, with sign (-1)^(number of
     star selections).  The empty word yields the empty-simplex unit chain.
     """
-    k = (x.r + 1) // 2
-    if k == 0:
-        return SimplicialChain({(): 1})
     sx = star(x)
-    levels = [(f_set(x, i), f_set(sx, i)) for i in range(1, k + 1)]
-    terms: dict[Simplex, int] = {}
-    for choice in itertools.product((0, 1), repeat=k):
-        sigma = tuple(levels[i][choice[i]] for i in range(k))
-        sign = -1 if sum(choice) % 2 else 1
-        terms[sigma] = terms.get(sigma, 0) + sign
+    terms: dict[Simplex, int] = {(): 1}
+    for i in range(1, (x.r + 1) // 2 + 1):
+        # F_i(x) != F_i(star(x)), so the two extensions never collide
+        a, b = f_set(x, i), f_set(sx, i)
+        terms = {t: c for s, c0 in terms.items() for t, c in ((s + (a,), c0), (s + (b,), -c0))}
     return SimplicialChain(terms)
 
 
@@ -226,10 +222,7 @@ class SparseMatrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            ech = SparseEchelon()
-            for col in self.columns:
-                ech.add_row(col)
-            self._rank = ech.rank
+            self._rank = sum(map(SparseEchelon().add_row, self.columns))
         return self._rank
 
 
@@ -238,13 +231,8 @@ def boundary_matrix(c: NestedChainComplex, k: int) -> SparseMatrix:
     if k in c._matrices:
         return c._matrices[k]
     rows = c.simplex_index(k - 1)
-    cols = []
-    for sigma in c.simplices(k):
-        col: dict[int, int] = {}
-        for i in range(len(sigma)):
-            face = sigma[:i] + sigma[i + 1:]
-            col[rows[face]] = (-1) ** i
-        cols.append(col)
+    cols = [{rows[sigma[:i] + sigma[i + 1:]]: (-1) ** i for i in range(len(sigma))}
+            for sigma in c.simplices(k)]
     mat = SparseMatrix(len(rows), cols)
     c._matrices[k] = mat
     return mat
@@ -269,31 +257,75 @@ def _top_dim(I: IndexSet) -> int:
 
 
 class _TopCycleSolver:
-    """Coordinates of top chains of hat(I) in the basis of its snake cycles;
-    building one proves those cycles independent.  ``top_index`` numbers
-    the top simplices and ``labels[j]`` is the snake of basis cycle j."""
+    """Coordinates of top chains of hat(I) in the basis of its snake cycles.
+
+    Each round of the peel removes every cycle that is the last remaining
+    holder of some simplex, its pivot; a complete peel proves the cycles
+    independent.  No later cycle holds a pivot, so a solve reads each
+    coefficient off the residual at the pivot, in peel order.  A simplex
+    keeps a holder count and the XOR of its holders' indices: at count 1
+    the XOR names the last holder."""
 
     def __init__(self, sup: IndexSet):
-        self.where = f"hat{sup}"
-        self.top_index = _hat_complex(sup).simplex_index(_top_dim(sup))
-        self.labels = enumerate_snakes(sup)
-        self.basis = BasisSolver(len(self.top_index), (
-            {self.top_index[s]: c for s, c in chain_of(alpha).terms.items()}
-            for alpha in self.labels))
-        if not self.basis.independent:
-            raise ConventionError(f"basis cycles on {self.where} are not independent")
+        self.sup, self.where = sup, f"hat{sup}"
+        labels = enumerate_snakes(sup)
+        cycles = [chain_of(alpha).terms for alpha in labels]
+        count: dict[Simplex, int] = {}
+        xor: dict[Simplex, int] = {}
+        for j, cycle in enumerate(cycles):
+            for s in cycle:
+                count[s] = count.get(s, 0) + 1
+                xor[s] = xor.get(s, 0) ^ j
+        self.peel: list[tuple[SignedPermutation, dict, Simplex]] = []
+        self.position: dict[Simplex, int] = {}  # pivot -> peel position
+        while len(self.peel) < len(cycles):
+            # cycle j -> its pivot, for every cycle that is the last holder of a simplex
+            peeled = {xor[s]: s for s, c in count.items() if c == 1}
+            if not peeled:
+                raise ConventionError(f"basis cycles on {self.where} are not independent")
+            for j, pivot in peeled.items():
+                if cycles[j][pivot] not in (1, -1):
+                    raise ConventionError(f"basis cycle {labels[j]} on {self.where} "
+                                          f"has pivot entry {cycles[j][pivot]}")
+                self.position[pivot] = len(self.peel)
+                self.peel.append((labels[j], cycles[j], pivot))
+                for s in cycles[j]:
+                    count[s] -= 1
+                    xor[s] ^= j
+
+    def _is_top(self, s) -> bool:
+        """Whether s is a top simplex of hat(I): strictly nested signed
+        subsets over +/-I of sizes 1, 3, 5, ..., as many as fit in I."""
+        return (type(s) is tuple and len(s) == _top_dim(self.sup) + 1
+                and all(type(v) is frozenset and len(v) == 2 * i + 1 for i, v in enumerate(s))
+                and all(a < b for a, b in zip(s, s[1:]))
+                and all(abs(m) in self.sup and -m not in v for v in s[-1:] for m in v))
 
     def solve(self, chain: SimplicialChain) -> dict:
-        vec: dict[int, int | Fraction] = {}
-        for s, c in chain.terms.items():
-            if s not in self.top_index:
+        """Forward substitution in peel order: the coefficient of a cycle is
+        the residual at its pivot times the pivot entry."""
+        residual, heap = dict(chain.terms), []
+        for s in residual:
+            if s in self.position:
+                heap.append(self.position[s])
+            elif not self._is_top(s):
                 raise ValueError(f"{s} is not a top simplex of {self.where}")
-            vec[self.top_index[s]] = c
-        coords = self.basis.solve(vec)
-        if coords is None:
+        heapify(heap)
+        coords = {}
+        while heap:
+            label, cycle, pivot = self.peel[heappop(heap)]
+            if pivot not in residual:  # a stale duplicate of a visited position
+                continue
+            a = coords[label] = residual[pivot] * cycle[pivot]
+            for s, v in cycle.items():  # a cycle holds no earlier pivot
+                if s not in residual and s in self.position:
+                    heappush(heap, self.position[s])
+                if r := residual.pop(s, 0) - a * v:
+                    residual[s] = r
+        if residual:
             raise ConventionError(
                 f"chain on {self.where} is outside the span of its basis cycles")
-        return {self.labels[j]: c for j, c in coords.items()}
+        return coords
 
 
 _cycle_solver = lru_cache(maxsize=None)(_TopCycleSolver)  # one build per support
@@ -448,19 +480,23 @@ def check_relations_vanish(n: int) -> CheckResult:
     """Every H1..H5 instance realizes to the zero chain (not merely to a
     boundary): the hat complex has no cells above the chains' dimension."""
     res = CheckResult("relations-vanish")
+    chains: dict[SignedPermutation, dict] = {}  # each word realized once
     for I in _subsets(n):
         if not I or len(I) > ORACLE_CAP:
             continue
         for label, comb in generator_instances(I):
             res.instances += 1
-            if chain_of_lincomb(comb):
+            for perm in comb.terms:
+                if perm not in chains:
+                    chains[perm] = chain_of(perm).terms
+            if SparseVector.combine((c, chains[perm]) for perm, c in comb.terms.items()):
                 res.record({"I": list(I), "generator": label,
                             "instance": comb.to_json()})
     return res
 
 
 def check_snake_cycles_independent(n: int) -> CheckResult:
-    """Snake cycles span the top cycle space freely."""
+    """Snake cycles are independent: they peel completely, pivot entries +/-1."""
     res = CheckResult("snake-cycle-basis")
     for I in _subsets(n):
         if len(I) > ORACLE_CAP:

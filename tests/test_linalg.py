@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsnakes.linalg import BasisSolver, SparseEchelon
+from bsnakes.linalg import SparseEchelon
 
 N_COLS = 6
 
@@ -79,26 +79,3 @@ def test_echelon_matches_fraction_elimination(rows, vec):
     assert all(type(v) is Fraction for v in residue.values())
     assert ech.contains(vec) == (not residue)
 
-
-@given(int_rows, st.lists(rationals, min_size=N_COLS, max_size=N_COLS), vectors)
-@settings(max_examples=100, deadline=None)
-def test_basis_solver_matches_fraction_elimination(rows, coords, vec):
-    ref, ranks = _ref_echelon(rows)
-    solver = BasisSolver(N_COLS, (dict(row) for row in rows))
-    assert solver.independent == (ranks[-1] == len(rows))
-
-    def combine(cs):
-        out = {}
-        for j, c in cs.items():
-            for k, v in rows[j].items():
-                out[k] = out.get(k, 0) + c * v
-        return {k: v for k, v in out.items() if v}
-
-    if solver.independent:
-        want = {j: c for j, c in enumerate(coords[:len(rows)]) if c}
-        assert solver.solve(combine(want)) == want
-    vec = {k: v for k, v in vec.items() if k < N_COLS}
-    got = solver.solve(vec)
-    assert (got is None) == bool(_ref_reduce(ref, vec))
-    if got is not None:
-        assert combine(got) == {k: v for k, v in vec.items() if v}

@@ -1,17 +1,21 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from bsnakes import ring
+from bsnakes import oracle, ring
 from bsnakes.core import (CapExceeded, SignedPermutation, enumerate_signed_perms,
                           enumerate_snakes, parse_sp, springer, star)
+from bsnakes.linalg import SparseVector
 from bsnakes.normalform import normal_form
 from bsnakes.oracle import (CheckResult, JoinChain,
                             NestedChainComplex, SimplicialChain,
-                            _cycle_solver, boundary_matrix, chain_of,
+                            _cycle_solver, _hat_complex, _subsets,
+                            _TopCycleSolver, boundary_matrix, chain_of,
                             chain_of_lincomb, check_betti_identity,
-                            check_cup_against_topology, full_subcomplex,
+                            check_cup_against_topology,
+                            check_relations_vanish, full_subcomplex,
                             hat_complex, join_chains, join_closed_form,
                             join_image, reduced_betti, retract_pi,
                             solve_in_snake_cycles, verify_suite)
@@ -198,6 +202,22 @@ def test_relations_vanish_at_chain_level(I):
         assert not chain_of_lincomb(comb), (I, label)
 
 
+def test_relations_vanish_realizes_each_word_once_per_support(monkeypatch):
+    words = {perm for I in _subsets(4) if I
+             for _, comb in generator_instances(I) for perm in comb.terms}
+    calls = []
+
+    def counted(x, real=chain_of):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(oracle, "chain_of", counted)
+    res = check_relations_vanish(4)
+    assert res.passed and res.instances == 2216
+    assert len(calls) == len(set(calls)) == len(words) == 632
+    assert set(calls) == words
+
+
 @pytest.mark.parametrize("I", [(1,), (1, 2), (1, 2, 3), (2, 3, 5),
                                (1, 2, 3, 4)])
 def test_face_condition_forces_order(I):
@@ -263,6 +283,53 @@ def test_solve_rejects_chains_outside_the_snake_cycle_span():
         solve_in_snake_cycles(SimplicialChain({top: 1}), (1, 2, 3))
     with pytest.raises(ValueError):
         solve_in_snake_cycles(SimplicialChain({top[:1]: 1}), (1, 2, 3))
+
+
+@pytest.mark.parametrize("I", [(1, 3, 4, 6), (2, 3, 5, 6, 9)])
+def test_solve_round_trips_combinations_of_snake_cycles(I):
+    rng = random.Random(len(I))
+    snakes = enumerate_snakes(I)
+    for size in (1, 2, 5, len(snakes) // 2, len(snakes)):
+        want = {alpha: rng.choice((-3, -2, -1, 1, 2, 3))
+                for alpha in rng.sample(snakes, size)}
+        chain = SimplicialChain(SparseVector.combine(
+            (c, chain_of(alpha).terms) for alpha, c in want.items()))
+        assert solve_in_snake_cycles(chain, I) == LinComb(I, want)
+
+
+def test_peel_rejects_dependent_snake_cycles(monkeypatch):
+    I = (1, 2, 3, 4)
+    snakes = enumerate_snakes(I)
+    monkeypatch.setattr(oracle, "enumerate_snakes", lambda sup: snakes + snakes[5:6])
+    with pytest.raises(ConventionError, match=r"hat\(1, 2, 3, 4\).* not independent"):
+        _TopCycleSolver(I)
+
+
+def test_peel_rejects_pivot_entries_other_than_one(monkeypatch):
+    monkeypatch.setattr(oracle, "chain_of", lambda x, real=chain_of: real(x).scale(2))
+    with pytest.raises(ConventionError, match=r"hat\(1, 2, 3\).* pivot entry 2"):
+        _TopCycleSolver((1, 2, 3))
+
+
+def test_solve_rejects_non_top_simplices_without_the_hat_complex():
+    _hat_complex.cache_clear()
+    I = (2, 4, 5, 7)
+    x = sp("[2-4/75]")
+    assert solve_in_snake_cycles(chain_of(x), I) == normal_form(x)
+    top = next(iter(chain_of(x).terms))
+    for bad in [top[:1], top + (fs(2, 4, 5, 7, -1),), (fs(2), fs(2, 4)),
+                (fs(2), fs(-2, 4, 5)), (fs(2), fs(2, -2, 4)), (fs(2), fs(2, 4, 3)),
+                (fs(4), fs(2, 5, 7)), (fs(2), (2, 4, 5)), "x"]:
+        with pytest.raises(ValueError):
+            solve_in_snake_cycles(SimplicialChain({top: 1, bad: 1}), I)
+    assert _hat_complex.cache_info().currsize == 0
+    # the check from the simplex alone agrees with the complex
+    for J in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]:
+        solver = _TopCycleSolver(J)
+        c = hat_complex(J)
+        assert all(solver._is_top(s) for s in c.simplices(c.dim))
+        assert not any(solver._is_top(s) for k in range(-1, c.dim)
+                       for s in c.simplices(k))
 
 
 def test_cup_referee_flags_perturbed_products(monkeypatch):
