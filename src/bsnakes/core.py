@@ -131,7 +131,7 @@ def parse_sp(text: str) -> SignedPermutation:
     validated and discarded.
     """
     if not text.startswith("["):
-        raise ParseError("expected leading '['", 0)
+        raise ParseError("expected leading '['", 0 if text else None)
     if not text.endswith("]"):
         raise ParseError("expected trailing ']'", len(text) - 1)
     inner = text[1:-1]
@@ -343,12 +343,17 @@ def _snake_words(mags: frozenset[int], side: frozenset[int] | None = None
         yield from rec((first,), mags - {first}, True)
 
 
-@lru_cache(maxsize=None)
 def springer(r: int, cap: int = ENUMERATION_CAP) -> int:
     """Number of B-snakes on any r-element set, by enumeration (memoized)."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     _check_cap("r", r, "springer", cap)
+    return _springer(r)
+
+
+@lru_cache(maxsize=None)
+def _springer(r: int) -> int:
+    """One enumeration per r, whatever cap ``springer`` was given."""
     return sum(1 for _ in _snake_words(frozenset(range(1, r + 1))))
 
 

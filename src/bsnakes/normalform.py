@@ -27,7 +27,7 @@ from .core import (IndexSet, SignedPermutation, _check_cap, _format_word,
                    index_set)
 from .linalg import SparseVector
 from .relations import (ConventionError, LinComb, _canonical_word, _instance,
-                        _starts, relation_matrix)
+                        _relation_matrix_cached, _starts)
 
 REWRITE_CAP = 7
 SOLVE_CAP = 5
@@ -129,9 +129,8 @@ def normal_form(x: SignedPermutation, backend: str = "rewrite",
         table = _nf_canonical(cw)
         return LinComb(x.support,
                        {SignedPermutation(w): sign * c for w, c in table.items()})
-    limit = SOLVE_CAP if cap is None else cap
-    _check_cap("r", r, "solve", limit)
-    return relation_matrix(x.support, limit).reduce_to_snakes(LinComb.single(x))
+    _check_cap("r", r, "solve", SOLVE_CAP if cap is None else cap)
+    return _relation_matrix_cached(x.support).reduce_to_snakes(LinComb.single(x))
 
 
 def coefficient(x: SignedPermutation, alpha: SignedPermutation,
@@ -198,9 +197,9 @@ def coefficient_range_experiment(I, backend: str = "rewrite",
     sup = index_set(I)
     _check_cap("|I|", len(sup), "experiment", cap)
     report = CoefficientReport(sup)
-    for x in enumerate_signed_perms(sup):
+    for x in enumerate_signed_perms(sup, cap):
         report.words += 1
-        for alpha, c in normal_form(x, backend).items():
+        for alpha, c in normal_form(x, backend, cap).items():
             key = str(c)
             report.value_counts[key] = report.value_counts.get(key, 0) + 1
             if c not in (1, -1):

@@ -444,13 +444,11 @@ def check_betti_identity(n: int) -> CheckResult:
     """Top reduced Betti number of hat(I) is springer(|I|); all lower vanish."""
     res = CheckResult("betti-identity")
     for I in _subsets(n):
-        if len(I) > ORACLE_CAP:
-            continue
-        c = hat_complex(I)
+        c = hat_complex(I, n)
         top = _top_dim(I)
         res.instances += 1
         got = reduced_betti(c, top)
-        want = springer(len(I))
+        want = springer(len(I), n)
         if got != want:
             res.record({"I": list(I), "dim": top, "got": got, "want": want})
         for k in range(-1 + (0 if I else 1), top):
@@ -466,8 +464,8 @@ def check_retraction_equivalence(n: int) -> CheckResult:
     res = CheckResult("retraction-equivalence")
     n = min(n, FULLSUB_CAP)
     for J in _subsets(n):
-        full = full_subcomplex(n, J)
-        hat = hat_complex(J)
+        full = full_subcomplex(n, J, n)
+        hat = hat_complex(J, n)
         for k in range(-1, max(full.dim, hat.dim) + 1):
             res.instances += 1
             a, b = reduced_betti(full, k), reduced_betti(hat, k)
@@ -482,8 +480,6 @@ def check_relations_vanish(n: int) -> CheckResult:
     res = CheckResult("relations-vanish")
     chains: dict[SignedPermutation, dict] = {}  # each word realized once
     for I in _subsets(n):
-        if not I or len(I) > ORACLE_CAP:
-            continue
         for label, comb in generator_instances(I):
             res.instances += 1
             for perm in comb.terms:
@@ -499,8 +495,6 @@ def check_snake_cycles_independent(n: int) -> CheckResult:
     """Snake cycles are independent: they peel completely, pivot entries +/-1."""
     res = CheckResult("snake-cycle-basis")
     for I in _subsets(n):
-        if len(I) > ORACLE_CAP:
-            continue
         res.instances += 1
         try:
             _cycle_solver(I)
@@ -516,14 +510,12 @@ def check_triple_agreement(n: int) -> CheckResult:
     from .normalform import normal_form
     res = CheckResult("normal-form-agreement")
     for I in _subsets(n):
-        if len(I) > ORACLE_CAP:
-            continue
-        for x in enumerate_signed_perms(I):
+        for x in enumerate_signed_perms(I, n):
             res.instances += 1
             try:
-                nf_r = normal_form(x, backend="rewrite")
-                nf_s = normal_form(x, backend="solve")
-                nf_o = solve_in_snake_cycles(chain_of(x), I)
+                nf_r = normal_form(x, backend="rewrite", cap=n)
+                nf_s = normal_form(x, backend="solve", cap=n)
+                nf_o = solve_in_snake_cycles(chain_of(x), I, n)
             except (ConventionError, ValueError) as exc:
                 res.record({"I": list(I), "x": str(x), "error": str(exc)})
                 continue
@@ -541,8 +533,6 @@ def check_join_factorization(n: int) -> CheckResult:
     res = CheckResult("join-factorization")
     for i1, i2 in _split_contexts(n):
         union = tuple(sorted(set(i1) | set(i2)))
-        if len(union) > ORACLE_CAP:
-            continue
         ctx = RestrictionContext(i1, i2)
         for z in enumerate_snakes(union):
             res.instances += 1
@@ -563,8 +553,6 @@ def check_cup_against_topology(n: int) -> CheckResult:
     from .ring import _cup_split
     res = CheckResult("cup-topology")
     for i1, i2 in _split_contexts(n):
-        if len(i1) + len(i2) > ORACLE_CAP:
-            continue
         for i in (i1, i2):
             _cycle_solver(i)  # raises ConventionError if its snake cycles are dependent
         snakes1, snakes2 = enumerate_snakes(i1), enumerate_snakes(i2)

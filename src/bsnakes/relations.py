@@ -261,20 +261,17 @@ class RelationMatrix:
     after deduplication, which pins the echelon shape deterministically.
     """
 
-    def __init__(self, I: Iterable[int], cap: int = RELATION_CAP):
+    def __init__(self, I: Iterable[int]):
         sup = index_set(I)
-        _check_cap("|I|", len(sup), "relation", cap)
         self.support: IndexSet = sup
         self.columns: list[tuple[int, ...]] = sorted(_words_lex(frozenset(sup)),
                                                      key=_is_snake_word)
         self.col_index = {w: j for j, w in enumerate(self.columns)}
         self.n_snakes = sum(map(_is_snake_word, self.columns))
-        self.n_generators = 0
 
         self.echelon = SparseEchelon()
         seen: set[frozenset[tuple[int, int]]] = set()
         for _, _, terms in _word_instances(sup, ("H1", "H3", "H4", "H2", "H5")):
-            self.n_generators += 1
             row = {self.col_index[w]: sign for w, sign in terms}
             sgn = 1 if row[min(row)] > 0 else -1
             key = frozenset((k, sgn * v) for k, v in row.items())
@@ -312,7 +309,7 @@ class RelationMatrix:
 @lru_cache(maxsize=None)
 def _relation_matrix_cached(sup: IndexSet) -> RelationMatrix:
     """One build per support, whatever cap ``relation_matrix`` was given."""
-    return RelationMatrix(sup, len(sup))
+    return RelationMatrix(sup)
 
 
 def relation_matrix(I: Iterable[int], cap: int = RELATION_CAP) -> RelationMatrix:

@@ -112,6 +112,13 @@ def test_cap_error_exit_2(capsys):
     code, _, err = run(capsys, "springer", "--r", "9")
     assert code == 2
     assert "cap" in err
+    # every cap error names the cap it exceeds; cup lifts only its union cap
+    for argv, message in [
+        (("snakes", "--set", "1,2,3,4,5,6,7,8"), "|I| = 8 exceeds enumeration cap 7"),
+        (("cup", "[81/72/63/54]", "[]"), "|I1 u I2| = 8 exceeds enumeration cap 7"),
+        (("cup", "[81/72/63/54]", "[]", "--unsafe-cap", "8"), "r = 8 exceeds rewrite cap 7"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_convention_error_exit_3(capsys, monkeypatch):
@@ -156,6 +163,16 @@ def test_betti_text(capsys, n, expected):
     code, out, _ = run(capsys, "betti", "--n", str(n))
     assert code == 0
     assert out == expected
+
+
+def test_unsafe_cap_reaches_every_check_beneath(capsys):
+    code, out, _ = run(capsys, "betti", "--n", "8", "--unsafe-cap", "8")
+    assert (code, out) == (0, "1 92 4606 97580 447625 0 0 0 0\n")
+    code, out, _ = run(capsys, "verify", "--n", "6", "--unsafe-cap", "6",
+                       "--lemma", "snake-cycle-basis", "--json")
+    assert code == 0
+    assert json.loads(out) == [{"check": "snake-cycle-basis", "instances": 64,
+                                "failures": []}]
 
 
 def test_betti_json(capsys):

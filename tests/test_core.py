@@ -85,8 +85,10 @@ def test_parse_accepts_or_points_into_the_text(text):
     try:
         x = sp(text)
     except ParseError as exc:
-        # the empty text has no index; its error sits at 0
-        assert 0 <= exc.position < max(len(text), 1), text
+        if not text:  # the empty text has no index to point at
+            assert exc.position is None
+        else:
+            assert 0 <= exc.position < len(text), text
         if "duplicate magnitude" in str(exc):
             assert text[exc.position] == str(exc).split()[2], text
     else:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsnakes import normalform
 from bsnakes.core import (CapExceeded, enumerate_signed_perms,
                           enumerate_snakes, parse_sp)
 from bsnakes.normalform import (coefficient, coefficient_range_experiment,
@@ -163,9 +164,13 @@ def test_experiment_small(r, expected_values):
     assert obj["words"] == report.words
 
 
-def test_experiment_cap():
+def test_experiment_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         coefficient_range_experiment(range(1, 7))
+    # the experiment's cap reaches the normal forms it computes
+    monkeypatch.setattr(normalform, "SOLVE_CAP", 3)
+    solved = coefficient_range_experiment(range(1, 5), backend="solve", cap=4)
+    assert solved.to_json() == coefficient_range_experiment(range(1, 5), cap=4).to_json()
 
 
 def test_experiment_r4_all_unit_range():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from bsnakes import oracle, ring
-from bsnakes.core import (CapExceeded, SignedPermutation, enumerate_signed_perms,
-                          enumerate_snakes, parse_sp, springer, star)
+from bsnakes.core import (CapExceeded, SignedPermutation, _springer,
+                          enumerate_signed_perms, enumerate_snakes, parse_sp,
+                          springer, star)
 from bsnakes.linalg import SparseVector
 from bsnakes.normalform import normal_form
 from bsnakes.oracle import (CheckResult, JoinChain,
@@ -81,6 +82,9 @@ def test_builders_are_cached_by_what_they_build():
     assert full_subcomplex(3, [1]) is full_subcomplex(3, (1,), 4)
     with pytest.raises(CapExceeded):
         full_subcomplex(3, [1], 2)
+    _springer.cache_clear()
+    assert springer(7) == springer(7, 8)
+    assert _springer.cache_info().misses == 1
 
 
 def test_empty_complex():

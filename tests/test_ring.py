@@ -329,6 +329,8 @@ def test_euler_characteristic_vanishes(n):
 def test_betti_cap():
     with pytest.raises(CapExceeded):
         betti(8, 0)
+    # a lifted cap reaches the Springer numbers beneath
+    assert betti_table(8, cap=8) == [1, 92, 4606, 97580, 447625, 0, 0, 0, 0]
 
 
 # --- product table ----------------------------------------------------------------
