@@ -312,18 +312,23 @@ def enumerate_snakes(I: Iterable[int]) -> list[BSnake]:
     return out
 
 
-def _snake_words(mags: frozenset[int], side: frozenset[int] | None = None
+def _snake_words(mags: frozenset[int], side: frozenset[int] | None = None,
+                 prefixes: set[tuple[int, ...]] | None = None
                  ) -> Iterator[tuple[int, ...]]:
     """Snake words on mags in lexicographic order; with ``side``, only the
     restrictable ones of the split (side, mags - side): a letter that would
-    close a block across the split below the leading remainder is skipped."""
+    close a block across the split below the leading remainder is skipped.
+    With ``prefixes`` too, a letter of side is placed only if the subword on
+    side that it ends is in prefixes, so a whole subtree is cut at the first
+    letter that leaves the set; the words kept are the restrictable ones
+    whose every side subword prefix is in the set, in the same order."""
     r = len(mags)
     if r == 0:
         yield ()
         return
 
-    def rec(prefix: tuple[int, ...], remaining: frozenset[int], want_gt: bool
-            ) -> Iterator[tuple[int, ...]]:
+    def rec(prefix: tuple[int, ...], remaining: frozenset[int], want_gt: bool,
+            sub: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield prefix
             return
@@ -337,10 +342,20 @@ def _snake_words(mags: frozenset[int], side: frozenset[int] | None = None
             if (last > v) if want_gt else (last < v):
                 if closes and (abs(v) in side) != last_in:
                     continue
-                yield from rec(prefix + (v,), remaining - {abs(v)}, not want_gt)
+                sub_v = sub
+                if prefixes is not None and abs(v) in side:
+                    sub_v = sub + (v,)
+                    if sub_v not in prefixes:
+                        continue
+                yield from rec(prefix + (v,), remaining - {abs(v)}, not want_gt, sub_v)
 
     for first in sorted(mags):
-        yield from rec((first,), mags - {first}, True)
+        sub = ()
+        if prefixes is not None and first in side:
+            sub = (first,)
+            if sub not in prefixes:
+                continue
+        yield from rec((first,), mags - {first}, True, sub)
 
 
 def springer(r: int, cap: int = ENUMERATION_CAP) -> int:

@@ -156,8 +156,9 @@ def normal_form_lincomb(c: LinComb, backend: str = "rewrite") -> LinComb:
 class CoefficientReport:
     """Observed range of snake-basis coefficients over a full support sweep.
 
-    Whether nonzero coefficients are always +-1 is an open question; this
-    is an experiment and never an assertion.
+    An experiment, never an assertion.  Measured: every nonzero
+    coefficient is +-1 through r = 7; at r = 8, 56 of them are +-2 (28
+    each way), on five canonical words such as [1-2/-5-7/-3-4/-6-8].
     """
 
     support: IndexSet

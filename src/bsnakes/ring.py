@@ -22,9 +22,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
-from .core import (EMPTY, IndexSet, SignedPermutation, _check_cap, _restrict_word,
-                   _snake_words, _springer, _subsets, as_snake, enumerate_snakes,
-                   index_set)
+from .core import (EMPTY, IndexSet, SignedPermutation, _check_cap, _is_snake_word,
+                   _restrict_word, _snake_words, _springer, _subsets, _words_lex,
+                   as_snake, enumerate_snakes, index_set)
 from .linalg import SparseVector
 from .normalform import Word, _check_rewrite_cap, _nf_canonical
 from .relations import LinComb, _canonical_word
@@ -86,16 +86,41 @@ def kappa(z: SignedPermutation, ctx: RestrictionContext) -> int:
     return _kappa_word(z.word, frozenset(ctx.i1))
 
 
+def _restriction_prefixes(r: int, side: frozenset[int], word: Word
+                          ) -> set[tuple[int, ...]]:
+    """Every prefix of the raw subwords x on ``side`` of an r-letter union
+    whose restriction f*x (f the parity sign of ``_restrict_word``) has a
+    normal form that mentions ``word``.  All 2^k * k! subwords of a k-letter
+    side are tested: at most 48 when side is the smaller factor of a union
+    of at most 7 letters."""
+    f = 1 if (r + len(side)) % 2 == 0 else -1
+    keep: set[tuple[int, ...]] = set()
+    for x in _words_lex(side):
+        if word in _nf_canonical(_canonical_word(tuple(f * v for v in x))[1]):
+            keep.update(x[:k] for k in range(1, len(x) + 1))
+    return keep
+
+
 def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
                right: Word | None = None) -> dict[tuple[Word, Word], dict[Word, int]]:
     """Every nonzero basis product over the split (I1, I2), from one walk
     of the restrictable snakes z of the union: {(alpha, beta): {z: coeff}}
     on raw words.  Each z reads the normal forms of P_I1(z) and P_I2(z)
     from the memo and adds (-1)^kappa(z) * c1 * c2 to every (alpha, beta)
-    they mention; given ``left`` and ``right``, only those coordinates."""
+    they mention.  Given ``left`` and ``right``, only those coordinates,
+    and the walk is pruned by the factor with fewer letters (I1 on a tie):
+    it visits only the z whose subword on that factor restricts to a
+    normal form mentioning its word, cutting a subtree at the first letter
+    that no such subword starts with."""
     i1, i2 = frozenset(i1), frozenset(i2)
+    union = i1 | i2
+    if left is None:
+        walk = _snake_words(union, i1)
+    else:
+        side, word = (i1, left) if len(i1) <= len(i2) else (i2, right)
+        walk = _snake_words(union, side, _restriction_prefixes(len(union), side, word))
     table: dict[tuple[Word, Word], dict[Word, int]] = {}
-    for z in _snake_words(i1 | i2, i1):
+    for z in walk:
         s1, w1 = _canonical_word(_restrict_word(z, i1))
         nf1 = _nf_canonical(w1)
         if left is not None and left not in nf1:  # skip z before restricting it to I2
@@ -117,8 +142,9 @@ def _product(union: Iterable[int], terms: Mapping[Word, int]) -> LinComb:
 
 def cup_basis(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
     """Product of two basis snakes as a snake combination on I1 symdiff I2."""
-    as_snake(alpha)
-    as_snake(beta)
+    for x in (alpha, beta):
+        if not _is_snake_word(x.word):
+            raise ValueError(f"{x} is not a B-snake")
     s1, s2 = set(alpha.support), set(beta.support)
     if (s1 & s2) or (len(s1) * len(s2)) % 2 != 0:
         return _zero(frozenset(s1 ^ s2))

@@ -203,14 +203,15 @@ def test_criterion_9_ring_axioms():
                             if not disjoint_even:
                                 assert not left
 
-        # associativity over every basis triple inside [4]
+        # associativity over every basis triple inside [4]; each b * c is
+        # computed once, not once per a
         basis = graded_basis(4)
+        right_of = {b: [cup_basis(b, c) for c in basis] for b in basis}
         checked = 0
         for a in basis:
             for b in basis:
                 ab = cup_basis(a, b)
-                for c in basis:
-                    bc = cup_basis(b, c)
+                for c, bc in zip(basis, right_of[b]):
                     if not ab and not bc:
                         continue  # both sides are zero products
                     sym = tuple(sorted(set(a.support) ^ set(b.support)

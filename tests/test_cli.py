@@ -274,6 +274,13 @@ STDOUT_SHA256 = {
         "ee71a9f95c1f57fe3d9250425d1e07d34aa8be84eea733224ef48b107ff5bece",
     ("ring-table", "--n", "3"):
         "2c2e95bf1a7b9e284ef3cf728dd13aa4c5b9c99ffe29b1c92331515b33f080e0",
+    # single products on a 7-set, pruned by a 3-, a 1- and a 2-letter factor
+    ("cup", "[6/13]", "[2-7/5-4]", "--unsafe-cap", "7", "--json"):
+        "335da96b69321fe019e995b7a402471e1b9c820a28b27ef5bbc80994a8afa668",
+    ("cup", "[62/5-4/7-3]", "[1]", "--unsafe-cap", "7", "--json"):
+        "3e7823e40f7e51f6127f0056d99762be378506fd9e38f9de9c69186de1316d39",
+    ("cup", "[62]", "[3/-47/15]", "--unsafe-cap", "7", "--json"):
+        "19d66890eecf63b83e7c58180d18999aefec907abd2b0266d8c86735db6c92c1",
 }
 
 

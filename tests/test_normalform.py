@@ -8,6 +8,7 @@ from bsnakes.core import (CapExceeded, enumerate_signed_perms,
                           enumerate_snakes, parse_sp)
 from bsnakes.normalform import (coefficient, coefficient_range_experiment,
                                 normal_form, normal_form_lincomb)
+from bsnakes.oracle import chain_of, chain_of_lincomb
 from bsnakes.relations import LinComb, h5, relation_matrix
 
 
@@ -194,3 +195,16 @@ def test_rewrite_steps_strictly_decrease():
             count += 1
             assert _word_lt(tw, cw)
     assert count > 100
+
+
+def test_r8_coefficients_beyond_unit(monkeypatch):
+    """Every nonzero coefficient is +-1 through r = 7; at r = 8 five words
+    have coefficients +-2.  One of them, from a cold memo, and its chain
+    identity; the independence of the r = 8 snake cycles is not checked
+    here."""
+    monkeypatch.setattr(normalform, "_nf_memo", {})
+    x = sp("[1-2/-5-7/-3-4/-6-8]")
+    nf = normal_form(x, cap=8)
+    assert len(nf) == 3657
+    assert sorted(c for _, c in nf.items() if abs(c) != 1) == [-2] * 4 + [2] * 4
+    assert chain_of_lincomb(nf) == chain_of(x)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bsnakes import ring
 from bsnakes.core import (EMPTY, CapExceeded, _snake_words, enumerate_snakes,
                           parse_sp, restrict_p, springer)
 from bsnakes.normalform import normal_form
@@ -104,8 +105,13 @@ def test_cup_unit_and_vanishing():
 
 
 def test_cup_rejects_non_snakes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[12\] is not a B-snake$"):
         cup_basis(sp("[12]"), sp("[3]"))
+    with pytest.raises(ValueError, match=r"^\[-3\] is not a B-snake$"):
+        cup_basis(sp("[21]"), sp("[-3]"))
+    for alpha, beta in (("[12]", "[2]"), ("[1]", "[-2]")):  # vanishing pairs
+        with pytest.raises(ValueError, match="is not a B-snake"):
+            cup_basis(sp(alpha), sp(beta))
 
 
 def test_cup_vanishing_exhaustive_n4():
@@ -186,13 +192,32 @@ def _reference_cup(alpha, beta):
     return LinComb(ctx.union, terms)
 
 
+def _seeded_prefixes(rng, subwords):
+    """A prefix-closed set: every prefix of a seeded half of the subwords,
+    and some proper prefixes of the others (which must not keep a word)."""
+    keep = set()
+    for x in subwords:
+        if rng.random() < 0.5:
+            keep.update(x[:j] for j in range(1, len(x) + 1))
+        elif len(x) > 1 and rng.random() < 0.5:
+            keep.update(x[:j] for j in range(1, rng.randrange(1, len(x)) + 1))
+    return keep
+
+
 def test_pruned_search_is_the_filtered_enumeration():
+    rng = random.Random(6)
     for U in subsets(6):
         snakes = enumerate_snakes(U)
         for i1, i2 in _splits(U):
             ctx = RestrictionContext(i1, i2)
             want = [z.word for z in snakes if is_restrictable(z, ctx)]
             assert list(_snake_words(frozenset(U), frozenset(i1))) == want, (i1, i2)
+            for side in (frozenset(i1), frozenset(i2)):
+                sub = {z: tuple(v for v in z if abs(v) in side) for z in want}
+                prefixes = _seeded_prefixes(rng, sorted(set(sub.values())))
+                kept = [z for z in want if not side or sub[z] in prefixes]
+                got = list(_snake_words(frozenset(U), side, prefixes))
+                assert got == kept, (i1, i2, sorted(side))
 
 
 def test_cup_matches_reference_over_4():
@@ -207,14 +232,45 @@ def test_cup_matches_reference_over_4():
     assert checked == 373  # sum of b_|I1| * b_|I2| over the disjoint splits
 
 
+#: (|I1|, |I2|) per seed: every split shape of a 7-set, then the empty
+#: factor, the other shapes of a 6-set and the size tie of a 4-set.
+_SEEDED_SHAPES = [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2), (6, 1),
+                  (0, 6), (2, 4), (4, 2), (6, 0), (2, 2), (2, 2)]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_cup_matches_reference_seeded(seed):
+    """Each product is checked in both orientations, so the single-pair
+    walk is pruned by either factor."""
     rng = random.Random(seed)
-    U = sorted(rng.sample(range(1, 10), 6 + seed % 2))
-    i1, i2 = rng.choice(list(_splits(U)))
+    k, m = _SEEDED_SHAPES[seed]
+    U = sorted(rng.sample(range(1, 10), k + m))
+    i1 = tuple(sorted(rng.sample(U, k)))
+    i2 = tuple(v for v in U if v not in i1)
     a = rng.choice(enumerate_snakes(i1))
     b = rng.choice(enumerate_snakes(i2))
     assert cup_basis(a, b) == _reference_cup(a, b)
+    assert cup_basis(b, a) == _reference_cup(b, a)
+
+
+def test_single_pair_walk_is_pruned_by_the_smaller_factor(monkeypatch):
+    walks = []
+
+    def spy(mags, side=None, prefixes=None):
+        walks.append((side, prefixes is not None))
+        return _snake_words(mags, side, prefixes)
+
+    monkeypatch.setattr(ring, "_snake_words", spy)
+    for left, right, side in (("[6/13]", "[2-7/5-4]", {1, 3, 6}),
+                              ("[62/5-4/7-3]", "[1]", {1}),
+                              ("[41]", "[32]", {1, 4})):  # a tie prunes by I1
+        a, b = sp(left), sp(right)
+        walks.clear()
+        _cup_split(a.support, b.support, a.word, b.word)
+        assert walks == [(frozenset(side), True)], (left, right)
+    walks.clear()
+    _cup_split((1, 4), (2, 3))  # a whole split walks unpruned
+    assert walks == [(frozenset({1, 4}), False)]
 
 
 def test_cup_cap_on_an_eight_letter_factor():
