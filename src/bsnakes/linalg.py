@@ -5,7 +5,7 @@ dict {key: int or Fraction} with no zero entries, plus the vector-space
 operations.  Integral values are stored as ints, so integer chains never
 touch ``Fraction`` arithmetic.  The oracle's simplicial and join chains
 (keys are simplices) subclass it, and so does ``relations.LinComb`` (keys
-are signed permutations), which keeps its own Fraction coefficients.
+are signed permutations).
 
 ``SparseEchelon`` is incremental row-echelon elimination over the
 integers.  Rows live in dicts {column: integer coefficient} with no zero
@@ -52,7 +52,10 @@ class SparseVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        self.terms: dict = {k: _exact(c) for k, c in (terms or {}).items() if c}
+        # set through object so that an immutable subclass (LinComb) can
+        # share this constructor
+        object.__setattr__(self, "terms", {k: v for k, c in (terms or {}).items()
+                                           if (v := _exact(c))})
 
     def _like(self, terms: dict) -> "SparseVector":
         return type(self)(terms)

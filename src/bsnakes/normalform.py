@@ -140,7 +140,7 @@ def coefficient(x: SignedPermutation, alpha: SignedPermutation,
     if x.support != alpha.support:
         raise ValueError(f"supports differ: {x.support} vs {alpha.support}")
     if backend != "rewrite":
-        return normal_form(x, backend).coefficient(alpha)
+        return Fraction(normal_form(x, backend).coefficient(alpha))
     _check_rewrite_cap(x.r)
     sign, cw = _canonical_word(x.word)
     return Fraction(sign * _nf_canonical(cw).get(alpha.word, 0))

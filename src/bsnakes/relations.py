@@ -29,7 +29,6 @@ from .linalg import SparseEchelon, SparseVector
 
 RELATION_CAP = 5
 
-Coeff = int | Fraction
 Terms = list[tuple[tuple[int, ...], int]]  # (word, sign) pairs
 
 
@@ -38,24 +37,19 @@ class ConventionError(RuntimeError):
 
 
 class LinComb(SparseVector):
-    """Finite formal sum of signed permutations over one support, with exact
-    rational coefficients.  Zero coefficients are never stored."""
+    """Finite formal sum of signed permutations over one support.  Values
+    are stored by ``SparseVector``'s rule (an int when integral, a Fraction
+    otherwise), and zero coefficients are never stored."""
 
     __slots__ = ("support",)
 
-    def __init__(self, support: Iterable[int],
-                 terms: Mapping[SignedPermutation, Coeff] | None = None):
+    def __init__(self, support: Iterable[int], terms: Mapping | None = None):
         sup = index_set(support)
-        data: dict[SignedPermutation, Fraction] = {}
-        for perm, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if not c:
-                continue
+        super().__init__(terms)
+        for perm in self.terms:
             if perm.support != sup:
                 raise ValueError(f"term {perm} lives on {perm.support}, not {sup}")
-            data[perm] = c
         object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")
@@ -70,13 +64,13 @@ class LinComb(SparseVector):
         return cls(support)
 
     @classmethod
-    def single(cls, perm: SignedPermutation, coeff: Coeff = 1) -> "LinComb":
+    def single(cls, perm: SignedPermutation, coeff=1) -> "LinComb":
         return cls(perm.support, {perm: coeff})
 
-    def coefficient(self, perm: SignedPermutation) -> Fraction:
-        return self.terms.get(perm, Fraction(0))
+    def coefficient(self, perm: SignedPermutation) -> int | Fraction:
+        return self.terms.get(perm, 0)
 
-    def items(self) -> list[tuple[SignedPermutation, Fraction]]:
+    def items(self) -> list[tuple[SignedPermutation, int | Fraction]]:
         """Terms sorted by word, the frozen basis order."""
         return sorted(self.terms.items(), key=lambda kv: kv[0].word)
 
@@ -257,8 +251,8 @@ class RelationMatrix:
     """Echelonized span of all H1..H5 instances on one support.
 
     Columns are the 2^r * r! words in lexicographic order, non-snakes
-    first; rows are processed sparsest-family-first (H1, H3, H4, H2, H5)
-    after deduplication, which pins the echelon shape deterministically.
+    first; rows are added in family order, sparsest first (H1, H3, H4, H2,
+    H5), and a duplicate row reduces to zero in the echelon.
     """
 
     def __init__(self, I: Iterable[int]):
@@ -270,21 +264,14 @@ class RelationMatrix:
         self.n_snakes = sum(map(_is_snake_word, self.columns))
 
         self.echelon = SparseEchelon()
-        seen: set[frozenset[tuple[int, int]]] = set()
         for _, _, terms in _word_instances(sup, ("H1", "H3", "H4", "H2", "H5")):
-            row = {self.col_index[w]: sign for w, sign in terms}
-            sgn = 1 if row[min(row)] > 0 else -1
-            key = frozenset((k, sgn * v) for k, v in row.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            self.echelon.add_row(row)
+            self.echelon.add_row({self.col_index[w]: sign for w, sign in terms})
 
     @property
     def rank(self) -> int:
         return self.echelon.rank
 
-    def _vector(self, comb: LinComb) -> dict[int, Fraction]:
+    def _vector(self, comb: LinComb) -> dict[int, int | Fraction]:
         if comb.support != self.support:
             raise ValueError("support mismatch")
         return {self.col_index[p.word]: c for p, c in comb.items()}

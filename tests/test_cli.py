@@ -7,6 +7,7 @@ import pytest
 
 import bsnakes
 from bsnakes.cli import build_parser, main
+from bsnakes.core import parse_sp
 from bsnakes.relations import ConventionError
 
 
@@ -132,6 +133,24 @@ def test_convention_error_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: no rewriting rule applies to non-snake (1, 2)\n"
+
+
+def test_convention_error_in_verify_exit_3(capsys, monkeypatch):
+    # A check that meets a broken invariant does not report it as a failed
+    # verification: the error reaches main and exits 3.
+    real = bsnakes.normalform.normal_form
+
+    def broken(x, backend="rewrite", cap=None):
+        if backend == "solve" and x == parse_sp("[21]"):
+            raise ConventionError("non-snake column (1, 2) survived reduction")
+        return real(x, backend=backend, cap=cap)
+
+    monkeypatch.setattr(bsnakes.normalform, "normal_form", broken)
+    code, out, err = run(capsys, "verify", "--n", "2", "--lemma",
+                         "normal-form-agreement")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: non-snake column (1, 2) survived reduction\n"
 
 
 def test_cup_text(capsys):

@@ -86,6 +86,7 @@ def test_coefficient_reads_the_normal_form():
         coefficient(x, alpha)  # support mismatch
     x, alpha = sp("[1/23]"), sp("[3/12]")
     assert coefficient(x, alpha, "solve") == coefficient(x, alpha) == -1
+    assert type(coefficient(x, alpha, "solve")) is Fraction
     with pytest.raises(ValueError):
         coefficient(x, alpha, "guess")
 

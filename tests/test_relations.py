@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from bsnakes.core import (SignedPermutation, enumerate_signed_perms,
                           enumerate_snakes, is_snake, parse_sp, springer)
-from bsnakes.oracle import SimplicialChain, hat_complex
+from bsnakes.normalform import normal_form
+from bsnakes.oracle import (SimplicialChain, chain_of, hat_complex,
+                            solve_in_snake_cycles)
 from bsnakes.relations import (LinComb, _instance, _starts, canonicalize,
                                generator_instances, h1, h2, h3, h4, h5,
                                relation_matrix)
+from bsnakes.ring import cup_basis
 
 
 def sp(text):
@@ -31,6 +34,16 @@ def test_lincomb_basics():
     assert not (a - a)
     assert (2 * a).coefficient(sp("[12]")) == 1
     assert a.scale(0) == LinComb.zero((1, 2))
+    # values follow SparseVector's rule: an int when integral, else a Fraction
+    p = sp("[12]")
+    assert type(LinComb((1, 2), {p: Fraction(4, 2)}).terms[p]) is int
+    assert LinComb((1, 2), {p: Fraction(4, 2)}).terms[p] == 2
+    assert type(LinComb((1, 2), {p: Fraction(1, 2)}).terms[p]) is Fraction
+    assert LinComb((1, 2), {p: Fraction(0)}).terms == {}
+    x = sp("[1-4/-2-3]")
+    for comb in (normal_form(sp("[1/23]")), cup_basis(sp("[1-4]"), sp("[32]")),
+                 solve_in_snake_cycles(chain_of(x), x.support)):
+        assert comb and all(type(c) is int for c in comb.terms.values())
 
 
 def test_lincomb_support_checks():
