@@ -46,6 +46,14 @@ def _parse_set(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad index set {text!r}: {exc}") from None
 
 
+def _size(text: str) -> int:
+    """The value of --n and --r: ASCII decimal digits, spaces around them
+    allowed, as in an index set; 0 is the empty index set."""
+    if not re.fullmatch(r" *[0-9]+ *", text):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -229,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_snakes)
 
     p = sub.add_parser("springer", help="Springer numbers b_r")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_size, required=True)
     p.add_argument("--table", action="store_true", help="print b_0..b_r")
     p.add_argument("--json", action="store_true")
     p.add_argument("--unsafe-cap", type=int, default=0)
@@ -256,19 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cup)
 
     p = sub.add_parser("betti", help="Betti numbers in degrees 0..n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--unsafe-cap", type=int, default=0)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("ring-table", help="all basis products over subsets of [n]")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--json", action="store_true", help="JSON-lines, one product per line")
     p.add_argument("--unsafe-cap", type=int, default=0)
     p.set_defaults(fn=cmd_ring_table)
 
     p = sub.add_parser("verify", help="run the structural verification suite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--lemma", action="append", default=None, metavar="CHECK",
                    help="restrict to one named check, e.g. --lemma "
                         "join-factorization (repeatable; unique substrings "
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="reports that never fail the build")
     p.add_argument("what", choices=["coeffs"])
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_size, required=True)
     p.add_argument("--backend", choices=BACKENDS, default="rewrite")
     p.add_argument("--json", action="store_true")
     p.add_argument("--unsafe-cap", type=int, default=0)

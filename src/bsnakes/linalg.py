@@ -4,8 +4,9 @@
 dict {key: int or Fraction} with no zero entries, plus the vector-space
 operations.  Integral values are stored as ints, so integer chains never
 touch ``Fraction`` arithmetic.  The oracle's simplicial and join chains
-(keys are simplices) subclass it, and so does ``relations.LinComb`` (keys
-are signed permutations).
+(keys are simplices) subclass it, and so do ``relations.LinComb`` (keys
+are signed permutations on one support) and ``ring.RingElement`` (keys
+are basis snakes on the index sets inside [n]).
 
 ``SparseEchelon`` is incremental row-echelon elimination over the
 integers.  Rows live in dicts {column: integer coefficient} with no zero

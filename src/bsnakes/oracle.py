@@ -580,9 +580,12 @@ VERIFY_CAP = 4
 
 def verify_suite(n: int, only: Iterable[str] | None = None,
                  cap: int = VERIFY_CAP) -> list[CheckResult]:
-    """Run the named structural checks over all index sets inside [n]."""
+    """Run the named structural checks over all index sets inside [n]; a
+    name outside ``CHECKS`` raises ValueError."""
     _check_cap("n", n, "verification", cap)
     wanted = None if only is None else set(only)
+    if wanted is not None and (unknown := wanted - CHECKS.keys()):
+        raise ValueError(f"unknown checks {sorted(unknown)}; known: {', '.join(CHECKS)}")
     results = []
     for name, fn in CHECKS.items():
         if wanted is not None and name not in wanted:

@@ -111,8 +111,11 @@ def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
     and the walk is pruned by the factor with fewer letters (I1 on a tie):
     it visits only the z whose subword on that factor restricts to a
     normal form mentioning its word, cutting a subtree at the first letter
-    that no such subword starts with."""
+    that no such subword starts with.  A split whose parts overlap or
+    both have odd size raises ValueError."""
     i1, i2 = frozenset(i1), frozenset(i2)
+    if i1 & i2 or len(i1) * len(i2) % 2:
+        raise ValueError(f"{sorted(i1)}, {sorted(i2)} overlap or both have odd size")
     union = i1 | i2
     if left is None:
         walk = _snake_words(union, i1)
@@ -166,14 +169,13 @@ def _cup_cached(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
     return _product(alpha.support + beta.support, table.get((alpha.word, beta.word), {}))
 
 
-class RingElement:
-    """Graded element: a snake combination for each index set inside [n]."""
+class RingElement(SparseVector):
+    """Graded element: a sparse vector over the basis snakes inside [n]."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, components: Mapping[IndexSet, LinComb] | None = None):
-        self.n = n
-        data: dict[IndexSet, LinComb] = {}
+        terms: dict = {}
         for sup, comb_ in (components or {}).items():
             sup = index_set(sup)
             if sup and sup[-1] > n:
@@ -182,9 +184,14 @@ class RingElement:
                 raise ValueError("component key does not match its support")
             if not comb_.all_snakes():
                 raise ValueError(f"component on {sup} has non-snake terms")
-            if comb_:
-                data[sup] = comb_
-        self.components = data
+            terms.update(comb_.terms)
+        super().__init__(terms)
+        self.n = n
+
+    def _like(self, terms: dict) -> "RingElement":
+        out = type(self)(self.n)
+        SparseVector.__init__(out, terms)  # snakes inside [n], as in self
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "RingElement":
@@ -199,74 +206,50 @@ class RingElement:
         as_snake(alpha)
         return cls(n, {alpha.support: LinComb.single(alpha)})
 
+    @property
+    def components(self) -> dict[IndexSet, LinComb]:
+        """The terms grouped by support, ordered by size and then by elements."""
+        groups: dict[IndexSet, dict] = {}
+        for alpha, c in self.terms.items():
+            groups.setdefault(alpha.support, {})[alpha] = c
+        return {sup: LinComb(sup, groups[sup])
+                for sup in sorted(groups, key=lambda s: (len(s), s))}
+
     def component(self, sup: Iterable[int]) -> LinComb:
         sup = index_set(sup)
         return self.components.get(sup, LinComb.zero(sup))
 
-    def __bool__(self) -> bool:
-        return bool(self.components)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RingElement) and self.n == other.n
-                and self.components == other.components)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
+    def _check_ambient(self, other: "RingElement") -> None:
         if self.n != other.n:
             raise ValueError("ambient mismatch")
-        data = dict(self.components)
-        for sup, comb_ in other.components.items():
-            data[sup] = data.get(sup, LinComb.zero(sup)) + comb_
-        return RingElement(self.n, data)
 
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.n,
-                           {s: -c for s, c in self.components.items()})
+    def __eq__(self, other) -> bool:
+        return super().__eq__(other) and self.n == other.n
+
+    def __add__(self, other: "RingElement") -> "RingElement":
+        self._check_ambient(other)
+        return super().__add__(other)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "RingElement":
-        return RingElement(self.n,
-                           {s: c.scale(factor) for s, c in self.components.items()})
-
-    def degrees(self) -> dict[int, int]:
-        """Number of stored terms per cohomological degree."""
-        out: dict[int, int] = {}
-        for sup, comb_ in self.components.items():
-            deg = (len(sup) + 1) // 2
-            out[deg] = out.get(deg, 0) + len(comb_)
-        return out
+        self._check_ambient(other)
+        return super().__sub__(other)
 
     def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        parts = []
-        for sup in sorted(self.components, key=lambda s: (len(s), s)):
-            label = "{" + ",".join(map(str, sup)) + "}"
-            parts.append(f"{label}: {self.components[sup]}")
-        return "; ".join(parts)
+        return "; ".join("{" + ",".join(map(str, sup)) + "}: " + str(comb_)
+                         for sup, comb_ in self.components.items()) or "0"
 
     def to_json(self) -> dict:
         return {"n": self.n,
-                "components": [self.components[s].to_json(snake_basis=True)
-                               for s in sorted(self.components,
-                                               key=lambda s: (len(s), s))]}
+                "components": [comb_.to_json(snake_basis=True)
+                               for comb_ in self.components.values()]}
 
 
 def cup(a: RingElement, b: RingElement) -> RingElement:
     """Bilinear extension of cup_basis to graded elements."""
-    if a.n != b.n:
-        raise ValueError("ambient mismatch")
-    acc: dict[IndexSet, list] = {}
-    for c1 in a.components.values():
-        for c2 in b.components.values():
-            for alpha, x in c1.items():
-                for beta, y in c2.items():
-                    prod = cup_basis(alpha, beta)
-                    if prod:
-                        acc.setdefault(prod.support, []).append((x * y, prod.terms))
-    return RingElement(a.n, {s: LinComb(s, SparseVector.combine(pairs))
-                             for s, pairs in acc.items()})
+    a._check_ambient(b)
+    return a._like(SparseVector.combine((x * y, cup_basis(alpha, beta).terms)
+                                        for alpha, x in a.terms.items()
+                                        for beta, y in b.terms.items()))
 
 
 def betti(n: int, k: int, cap: int = BETTI_CAP) -> int:

@@ -209,6 +209,23 @@ def test_springer_text_and_table(capsys):
     assert json.loads(out) == {"r": 4, "value": 57}
 
 
+@pytest.mark.parametrize("command,flag", [
+    (("verify",), "--n"),
+    (("betti",), "--n"),
+    (("ring-table",), "--n"),
+    (("springer", "--table"), "--r"),
+    (("experiment", "coeffs"), "--r"),
+], ids=["verify", "betti", "ring-table", "springer", "experiment"])
+def test_negative_sizes_are_usage_errors(capsys, command, flag):
+    for text in ("-1", "+1"):  # sizes take ASCII digits only, like index sets
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, text])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument {flag}: expected a nonnegative integer, got '{text}'" in err
+    assert run(capsys, *command, flag, "0")[0] == 0  # the empty index set
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 0

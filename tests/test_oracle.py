@@ -461,6 +461,12 @@ def test_verify_suite_filter_and_cap():
         verify_suite(5)
 
 
+def test_verify_suite_rejects_unknown_checks():
+    # otherwise all(r.passed for r in ...) would hold with nothing checked
+    with pytest.raises(ValueError, match=r"unknown checks \['cup'\]; known: betti-identity, "):
+        verify_suite(3, only=["cup", "join-factorization"])
+
+
 def test_check_result_reporting():
     res = CheckResult("demo")
     assert res.passed

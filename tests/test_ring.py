@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -273,6 +274,13 @@ def test_single_pair_walk_is_pruned_by_the_smaller_factor(monkeypatch):
     assert walks == [(frozenset({1, 4}), False)]
 
 
+def test_split_table_rejects_invalid_splits():
+    for i1, i2 in (((1,), (2,)), ((1, 2), (2, 3)), ((1, 2, 3), (4,))):
+        with pytest.raises(ValueError):
+            _cup_split(i1, i2)
+    assert _cup_split((1,), ())  # |I2| = 0 is even
+
+
 def test_cup_cap_on_an_eight_letter_factor():
     alpha = sp("[81/72/63/54]")
     with pytest.raises(CapExceeded):
@@ -354,6 +362,59 @@ def test_ring_element_json():
     obj = a.to_json()
     assert obj["n"] == 4
     assert [c["support"] for c in obj["components"]] == [[], [1, 2]]
+
+
+def test_ring_element_negation_and_scaling():
+    a = RingElement.basis(3, sp("[21]")) + RingElement.basis(3, sp("[3]"))
+    assert (-a).component((1, 2)) == LinComb.single(sp("[21]"), -1)
+    assert -a + a == RingElement.zero(3)
+    half = a.scale(Fraction(1, 2))
+    assert half.component((3,)) == LinComb.single(sp("[3]"), Fraction(1, 2))
+    assert half + half == a
+    assert not a.scale(0)
+
+
+def test_ring_element_ambient_is_part_of_the_value():
+    x = sp("[21]")
+    assert RingElement.basis(3, x) != RingElement.basis(4, x)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        RingElement.basis(3, x) - RingElement.basis(4, x)
+
+
+def test_ring_elements_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(RingElement.unit(2))
+
+
+def test_ring_element_drops_zero_components():
+    assert RingElement(2, {(1,): LinComb.zero((1,))}) == RingElement.zero(2)
+
+
+def test_ring_element_lists_components_by_size_then_elements():
+    x = RingElement(4, {(2, 3): LinComb.single(sp("[32]")),
+                        (4,): LinComb.single(sp("[4]"), 2),
+                        (1,): LinComb.single(sp("[1]")),
+                        (1, 2): LinComb.single(sp("[21]"))})
+    assert str(x) == "{1}: [1]; {4}: 2*[4]; {1,2}: [21]; {2,3}: [32]"
+    assert [(c["support"], [t["coeff"] for t in c["terms"]])
+            for c in x.to_json()["components"]] == [
+        ([1], ["1"]), ([4], ["2"]), ([1, 2], ["1"]), ([2, 3], ["1"])]
+
+
+def test_ring_element_absent_component_is_zero_on_its_support():
+    comp = RingElement.basis(4, sp("[21]")).component([4, 3])
+    assert comp == LinComb.zero((3, 4)) and comp.support == (3, 4)
+
+
+def test_ring_element_bilinearity_over_fractions():
+    a = RingElement.basis(4, sp("[1-4]"))
+    b = RingElement.basis(4, sp("[41]"))
+    c = RingElement.basis(4, sp("[32]"))
+    p, q = Fraction(1, 2), Fraction(-2, 3)
+    left = cup(a.scale(p) + b.scale(q), c)
+    assert left and left == cup(a, c).scale(p) + cup(b, c).scale(q)
+    assert cup(c, a.scale(p) + b.scale(q)) == cup(c, a).scale(p) + cup(c, b).scale(q)
+    assert left.component((1, 2, 3, 4)).coefficient(sp("[1-4/32]")) == -p
 
 
 # --- betti numbers ----------------------------------------------------------------
