@@ -47,8 +47,9 @@ def _parse_set(text: str) -> tuple[int, ...]:
 
 
 def _size(text: str) -> int:
-    """The value of --n and --r: ASCII decimal digits, spaces around them
-    allowed, as in an index set; 0 is the empty index set."""
+    """The value of --n, --r and --unsafe-cap: ASCII decimal digits, spaces
+    around them allowed, as in an index set; 0 is the empty index set (and,
+    for --unsafe-cap, the default caps)."""
     if not re.fullmatch(r" *[0-9]+ *", text):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
@@ -233,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snakes", help="enumerate the B-snakes on an index set")
     p.add_argument("--set", required=True, help="comma-separated indices, e.g. 1,2,3")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_snakes)
 
     p = sub.add_parser("springer", help="Springer numbers b_r")
     p.add_argument("--r", type=_size, required=True)
     p.add_argument("--table", action="store_true", help="print b_0..b_r")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_springer)
 
     p = sub.add_parser("normal-form", help="snake-basis normal form of a word")
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-validate against the other backend and the "
                         "simplicial oracle (exit 1 on disagreement)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0,
+    p.add_argument("--unsafe-cap", type=_size, default=0,
                    help=f"lift the caps (rewrite {REWRITE_CAP}, solve {SOLVE_CAP})")
     p.set_defaults(fn=cmd_normal_form)
 
@@ -260,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_cup)
 
     p = sub.add_parser("betti", help="Betti numbers in degrees 0..n")
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("ring-table", help="all basis products over subsets of [n]")
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--json", action="store_true", help="JSON-lines, one product per line")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_ring_table)
 
     p = sub.add_parser("verify", help="run the structural verification suite")
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help=f"additionally sweep hat-complex checks up to |I| = {ORACLE_CAP}")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("experiment", help="reports that never fail the build")
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_size, required=True)
     p.add_argument("--backend", choices=BACKENDS, default="rewrite")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unsafe-cap", type=int, default=0)
+    p.add_argument("--unsafe-cap", type=_size, default=0)
     p.set_defaults(fn=cmd_experiment)
 
     return parser

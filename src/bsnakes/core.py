@@ -312,50 +312,27 @@ def enumerate_snakes(I: Iterable[int]) -> list[BSnake]:
     return out
 
 
-def _snake_words(mags: frozenset[int], side: frozenset[int] | None = None,
-                 prefixes: set[tuple[int, ...]] | None = None
-                 ) -> Iterator[tuple[int, ...]]:
-    """Snake words on mags in lexicographic order; with ``side``, only the
-    restrictable ones of the split (side, mags - side): a letter that would
-    close a block across the split below the leading remainder is skipped.
-    With ``prefixes`` too, a letter of side is placed only if the subword on
-    side that it ends is in prefixes, so a whole subtree is cut at the first
-    letter that leaves the set; the words kept are the restrictable ones
-    whose every side subword prefix is in the set, in the same order."""
-    r = len(mags)
-    if r == 0:
+def _snake_words(mags: frozenset[int]) -> Iterator[tuple[int, ...]]:
+    """Snake words on mags in lexicographic order, by a left-to-right search
+    that places a letter only where the alternation allows it.  The
+    restrictable snakes of a split are walked a block at a time by
+    ``ring._restrictable_walk`` instead."""
+    if not mags:
         yield ()
         return
 
-    def rec(prefix: tuple[int, ...], remaining: frozenset[int], want_gt: bool,
-            sub: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def rec(prefix: tuple[int, ...], remaining: frozenset[int], want_gt: bool
+            ) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield prefix
             return
         last = prefix[-1]
-        # The next letter sits at right-anchored position len(remaining); an
-        # odd position closes a block, except at word index 1, which closes
-        # the leading remainder of an even word.
-        closes = side is not None and len(remaining) % 2 == 1 and len(prefix) >= 2
-        last_in = abs(last) in side if closes else False
         for v in _signed_values(remaining):
             if (last > v) if want_gt else (last < v):
-                if closes and (abs(v) in side) != last_in:
-                    continue
-                sub_v = sub
-                if prefixes is not None and abs(v) in side:
-                    sub_v = sub + (v,)
-                    if sub_v not in prefixes:
-                        continue
-                yield from rec(prefix + (v,), remaining - {abs(v)}, not want_gt, sub_v)
+                yield from rec(prefix + (v,), remaining - {abs(v)}, not want_gt)
 
     for first in sorted(mags):
-        sub = ()
-        if prefixes is not None and first in side:
-            sub = (first,)
-            if sub not in prefixes:
-                continue
-        yield from rec((first,), mags - {first}, True, sub)
+        yield from rec((first,), mags - {first}, True)
 
 
 def springer(r: int, cap: int = ENUMERATION_CAP) -> int:

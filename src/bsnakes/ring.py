@@ -12,19 +12,24 @@ factor; each such z contributes
 where C(-,-) are snake-basis coefficients from the normalform module,
 P_J is the parity-corrected restriction, and kappa counts odd-position
 crossings between the factors.  Every product over one split (I1, I2)
-comes from one walk of those z.  The unit is the empty snake at I = {}.
+comes from one walk of those z, a block at a time: for odd |I1 u I2| the
+lead is a positive letter of the factor of odd size, and each later block
+is taken whole from one factor.  Both restrictions grow with the walk and
+are canonically oriented by construction, so no z is restricted or
+reoriented afterwards.  The unit is the empty snake at I = {}.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .core import (EMPTY, IndexSet, SignedPermutation, _check_cap, _is_snake_word,
-                   _restrict_word, _snake_words, _springer, _subsets, _words_lex,
-                   as_snake, enumerate_snakes, index_set)
+                   _signed_values, _springer, _subsets, _words_lex, as_snake,
+                   enumerate_snakes, index_set)
 from .linalg import SparseVector
 from .normalform import Word, _check_rewrite_cap, _nf_canonical
 from .relations import LinComb, _canonical_word
@@ -86,19 +91,82 @@ def kappa(z: SignedPermutation, ctx: RestrictionContext) -> int:
     return _kappa_word(z.word, frozenset(ctx.i1))
 
 
-def _restriction_prefixes(r: int, side: frozenset[int], word: Word
-                          ) -> set[tuple[int, ...]]:
-    """Every prefix of the raw subwords x on ``side`` of an r-letter union
-    whose restriction f*x (f the parity sign of ``_restrict_word``) has a
-    normal form that mentions ``word``.  All 2^k * k! subwords of a k-letter
-    side are tested: at most 48 when side is the smaller factor of a union
+def _restriction_prefixes(side: frozenset[int], word: Word) -> set[Word]:
+    """The block-aligned prefixes (lengths 1, 3, ... for odd |side|, 2, 4,
+    ... for even) of every canonically oriented word on ``side`` whose
+    normal form mentions ``word``: the words P_side(z) can take.  There are
+    12 such words on a 3-letter side, the largest smaller factor of a union
     of at most 7 letters."""
-    f = 1 if (r + len(side)) % 2 == 0 else -1
-    keep: set[tuple[int, ...]] = set()
-    for x in _words_lex(side):
-        if word in _nf_canonical(_canonical_word(tuple(f * v for v in x))[1]):
-            keep.update(x[:k] for k in range(1, len(x) + 1))
+    keep: set[Word] = set()
+    for y in {_canonical_word(x)[1] for x in _words_lex(side)}:
+        if word in _nf_canonical(y):
+            keep.update(y[:j] for j in range(2 - len(y) % 2, len(y) + 1, 2))
     return keep
+
+
+def _restrictable_walk(i1: frozenset[int], i2: frozenset[int],
+                       side: frozenset[int] | None = None,
+                       prefixes: set[Word] | None = None
+                       ) -> Iterator[tuple[Word, Word, Word]]:
+    """The restrictable snakes z of the split (I1, I2), lazily and in
+    lexicographic order, as (z, P_I1(z), P_I2(z)).
+
+    Every length-2 block of such a z lies inside one part, so for odd r the
+    lead is a positive letter of the odd-sized part.  After the lead come
+    r//2 blocks (p, q), each taken from one part: p < q and p below the
+    previous q (or the lead) for odd r; p > q and p above the previous q
+    (above 0 for the first block) for even r.  The restrictions grow a
+    block at a time and are already canonically oriented with sign +1.
+    With ``side`` (I1 or I2) and ``prefixes``, a lead or block of side is
+    placed only if the restriction to side that it ends is in prefixes, so
+    the words kept are those whose P_side(z) is in that block-prefix-closed
+    set.  A split whose parts overlap or both have odd size is not checked."""
+    r = len(i1) + len(i2)
+    odd = r % 2
+    f1 = 1 if (r + len(i1)) % 2 == 0 else -1
+    f2 = 1 if (r + len(i2)) % 2 == 0 else -1
+    cut1, cut2 = (prefixes, None) if side == i1 else (None, prefixes)
+    # (p, q, magnitude mask, from I1, P_part letters), both parts in lex order
+    blocks = sorted((p, q, 1 << abs(p) | 1 << abs(q), part is i1, (f * p, f * q))
+                    for part, f in ((i1, f1), (i2, f2))
+                    for p in _signed_values(part) for q in _signed_values(part)
+                    if abs(p) != abs(q) and (p < q if odd else p > q))
+    full = sum(1 << m for m in i1 | i2)
+    free: dict[int, tuple[list, list[int]]] = {}  # used magnitudes -> blocks left, heads
+
+    def rec(z: Word, used: int, last: int, w1: Word, w2: Word
+            ) -> Iterator[tuple[Word, Word, Word]]:
+        if used not in free:
+            avail = [b for b in blocks if not used & b[2]]
+            free[used] = avail, [b[0] for b in avail]
+        avail, heads = free[used]
+        for p, q, mask, in1, pair in (avail[:bisect_left(heads, last)] if odd
+                                      else avail[bisect_right(heads, last):]):
+            if in1:
+                n1, n2 = w1 + pair, w2
+                if cut1 is not None and n1 not in cut1:
+                    continue
+            else:
+                n1, n2 = w1, w2 + pair
+                if cut2 is not None and n2 not in cut2:
+                    continue
+            if used | mask == full:
+                yield z + (p, q), n1, n2
+            else:
+                yield from rec(z + (p, q), used | mask, q, n1, n2)
+
+    if odd:  # the lead: a positive letter of the odd-sized part
+        lead_in1 = len(i1) % 2 == 1
+        cut = cut1 if lead_in1 else cut2
+        starts = [((m,), 1 << m, m, *(((m,), ()) if lead_in1 else ((), (m,))))
+                  for m in sorted(i1 if lead_in1 else i2) if cut is None or (m,) in cut]
+    else:
+        starts = [((), 0, 0, (), ())]
+    for z, used, last, w1, w2 in starts:
+        if used == full:
+            yield z, w1, w2
+        else:
+            yield from rec(z, used, last, w1, w2)
 
 
 def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
@@ -109,30 +177,27 @@ def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
     from the memo and adds (-1)^kappa(z) * c1 * c2 to every (alpha, beta)
     they mention.  Given ``left`` and ``right``, only those coordinates,
     and the walk is pruned by the factor with fewer letters (I1 on a tie):
-    it visits only the z whose subword on that factor restricts to a
-    normal form mentioning its word, cutting a subtree at the first letter
-    that no such subword starts with.  A split whose parts overlap or
-    both have odd size raises ValueError."""
+    it visits only the z whose restriction to that factor has a normal
+    form mentioning its word, cutting a subtree at the first lead or block
+    that starts no such restriction.  A split whose parts overlap or both
+    have odd size raises ValueError."""
     i1, i2 = frozenset(i1), frozenset(i2)
     if i1 & i2 or len(i1) * len(i2) % 2:
         raise ValueError(f"{sorted(i1)}, {sorted(i2)} overlap or both have odd size")
-    union = i1 | i2
     if left is None:
-        walk = _snake_words(union, i1)
+        walk = _restrictable_walk(i1, i2)
     else:
         side, word = (i1, left) if len(i1) <= len(i2) else (i2, right)
-        walk = _snake_words(union, side, _restriction_prefixes(len(union), side, word))
+        walk = _restrictable_walk(i1, i2, side, _restriction_prefixes(side, word))
     table: dict[tuple[Word, Word], dict[Word, int]] = {}
-    for z in walk:
-        s1, w1 = _canonical_word(_restrict_word(z, i1))
+    for z, w1, w2 in walk:
         nf1 = _nf_canonical(w1)
-        if left is not None and left not in nf1:  # skip z before restricting it to I2
+        if left is not None and left not in nf1:  # skip z before reading P_I2(z)
             continue
-        s2, w2 = _canonical_word(_restrict_word(z, i2))
         nf2 = _nf_canonical(w2)
         if right is not None and right not in nf2:
             continue
-        sign = (-1) ** _kappa_word(z, i1) * s1 * s2
+        sign = (-1) ** _kappa_word(z, i1)
         for a, c1 in (nf1.items() if left is None else ((left, nf1[left]),)):
             for b, c2 in (nf2.items() if right is None else ((right, nf2[right]),)):
                 table.setdefault((a, b), {})[z] = sign * c1 * c2

@@ -226,6 +226,27 @@ def test_negative_sizes_are_usage_errors(capsys, command, flag):
     assert run(capsys, *command, flag, "0")[0] == 0  # the empty index set
 
 
+@pytest.mark.parametrize("argv", [
+    ("snakes", "--set", "1,2"),
+    ("springer", "--r", "3"),
+    ("normal-form", "[1/23]"),
+    ("cup", "[1]", "[32]"),
+    ("betti", "--n", "2"),
+    ("ring-table", "--n", "2"),
+    ("verify", "--n", "2"),
+    ("experiment", "coeffs", "--r", "2"),
+], ids=lambda argv: argv[0])
+def test_unsafe_cap_is_a_nonnegative_integer(capsys, argv):
+    for text in ("-1", "+1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--unsafe-cap", text])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert ("argument --unsafe-cap: expected a nonnegative integer, "
+                f"got '{text}'") in err
+    assert run(capsys, *argv, "--unsafe-cap", "0")[0] == 0  # 0 keeps the default caps
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 0

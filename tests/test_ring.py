@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from bsnakes import ring
-from bsnakes.core import (EMPTY, CapExceeded, _snake_words, enumerate_snakes,
-                          parse_sp, restrict_p, springer)
+from bsnakes.core import (EMPTY, CapExceeded, enumerate_snakes, parse_sp, restrict_p,
+                          springer)
 from bsnakes.normalform import normal_form
-from bsnakes.relations import LinComb
+from bsnakes.relations import LinComb, _canonical_word
 from bsnakes.ring import (_CUP_CACHE_SIZE, RestrictionContext, RingElement,
-                          _cup_cached, _cup_split, _zero, betti, betti_table, cup,
-                          cup_basis, graded_basis, is_restrictable, kappa,
-                          ring_table)
+                          _cup_cached, _cup_split, _restrictable_walk, _zero, betti,
+                          betti_table, cup, cup_basis, graded_basis, is_restrictable,
+                          kappa, ring_table)
 
 
 def sp(text):
@@ -206,19 +206,51 @@ def _seeded_prefixes(rng, subwords):
 
 
 def test_pruned_search_is_the_filtered_enumeration():
+    """The block walk yields (z, P_I1(z), P_I2(z)) for the restrictable z in
+    word order; with a prefix set on one side, only the z whose restriction
+    to that side is in the set."""
     rng = random.Random(6)
     for U in subsets(6):
         snakes = enumerate_snakes(U)
         for i1, i2 in _splits(U):
             ctx = RestrictionContext(i1, i2)
-            want = [z.word for z in snakes if is_restrictable(z, ctx)]
-            assert list(_snake_words(frozenset(U), frozenset(i1))) == want, (i1, i2)
-            for side in (frozenset(i1), frozenset(i2)):
-                sub = {z: tuple(v for v in z if abs(v) in side) for z in want}
-                prefixes = _seeded_prefixes(rng, sorted(set(sub.values())))
-                kept = [z for z in want if not side or sub[z] in prefixes]
-                got = list(_snake_words(frozenset(U), side, prefixes))
+            want = [(z.word, restrict_p(z, i1).word, restrict_p(z, i2).word)
+                    for z in snakes if is_restrictable(z, ctx)]
+            s1, s2 = frozenset(i1), frozenset(i2)
+            assert list(_restrictable_walk(s1, s2)) == want, (i1, i2)
+            for side, at in ((s1, 1), (s2, 2)):
+                prefixes = _seeded_prefixes(rng, sorted({t[at] for t in want}))
+                kept = [t for t in want if not side or t[at] in prefixes]
+                got = list(_restrictable_walk(s1, s2, side, prefixes))
                 assert got == kept, (i1, i2, sorted(side))
+
+
+def _restrictable_splits():
+    """(U, splits of U): every split of every U in [6], then the 1+6, 2+5
+    and 3+4 splits of one 7-set."""
+    for U in subsets(6):
+        yield U, list(_splits(U))
+    yield tuple(range(1, 8)), [((3,), (1, 2, 4, 5, 6, 7)), ((2, 6), (1, 3, 4, 5, 7)),
+                               ((1, 4, 7), (2, 3, 5, 6))]
+
+
+def test_restrictable_snakes_lead_from_the_odd_part_with_canonical_restrictions():
+    """The shape the block walk relies on: for odd r the lead lies in the
+    part of odd size, and both parity-corrected restrictions are already
+    canonically oriented, with sign +1."""
+    for U, splits in _restrictable_splits():
+        snakes = enumerate_snakes(U)
+        for i1, i2 in splits:
+            ctx = RestrictionContext(i1, i2)
+            for z in snakes:
+                if not is_restrictable(z, ctx):
+                    continue
+                if len(U) % 2:
+                    odd = i1 if len(i1) % 2 else i2
+                    assert abs(z.word[0]) in odd, (i1, i2, z)
+                for part in (i1, i2):
+                    w = restrict_p(z, part).word
+                    assert _canonical_word(w) == (1, w), (i1, i2, z)
 
 
 def test_cup_matches_reference_over_4():
@@ -256,12 +288,13 @@ def test_cup_matches_reference_seeded(seed):
 
 def test_single_pair_walk_is_pruned_by_the_smaller_factor(monkeypatch):
     walks = []
+    walk = ring._restrictable_walk
 
-    def spy(mags, side=None, prefixes=None):
+    def spy(i1, i2, side=None, prefixes=None):
         walks.append((side, prefixes is not None))
-        return _snake_words(mags, side, prefixes)
+        return walk(i1, i2, side, prefixes)
 
-    monkeypatch.setattr(ring, "_snake_words", spy)
+    monkeypatch.setattr(ring, "_restrictable_walk", spy)
     for left, right, side in (("[6/13]", "[2-7/5-4]", {1, 3, 6}),
                               ("[62/5-4/7-3]", "[1]", {1}),
                               ("[41]", "[32]", {1, 4})):  # a tie prunes by I1
@@ -271,7 +304,7 @@ def test_single_pair_walk_is_pruned_by_the_smaller_factor(monkeypatch):
         assert walks == [(frozenset(side), True)], (left, right)
     walks.clear()
     _cup_split((1, 4), (2, 3))  # a whole split walks unpruned
-    assert walks == [(frozenset({1, 4}), False)]
+    assert walks == [(None, False)]
 
 
 def test_split_table_rejects_invalid_splits():
