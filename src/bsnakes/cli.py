@@ -211,8 +211,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.what != "coeffs":
-        raise ParseError(f"unknown experiment {args.what!r}")
     cap = args.unsafe_cap or SOLVE_CAP
     report = coefficient_range_experiment(tuple(range(1, args.r + 1)),
                                           backend=args.backend, cap=cap)

@@ -15,16 +15,22 @@ A B-snake is a signed permutation satisfying the alternation
 down to x_1.  Snakes on an r-element set are counted by the Springer
 numbers 1, 1, 3, 11, 57, 361, 2763, 24611, ... (A001586); they serve as
 the basis of the quotient algebra built in the sibling modules.
+
+One block walk, ``_restrictable_walk``, yields the snakes of a split whose
+length-2 blocks stay inside its parts; on the trivial split (U, {}) that is
+every snake of U, so it both enumerates the basis and feeds ring products.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 IndexSet = tuple[int, ...]
+Word = tuple[int, ...]
 SignedSubset = frozenset[int]
 
 #: Largest r for which exhaustive enumeration of all 2^r * r! signed
@@ -240,13 +246,8 @@ def restrict_p(x: SignedPermutation, J: Iterable[int]) -> SignedPermutation:
     Jset = set(J)
     if not Jset <= set(x.support):
         raise ValueError(f"{sorted(Jset)} is not a subset of the support {x.support}")
-    return SignedPermutation(_restrict_word(x.word, Jset))
-
-
-def _restrict_word(w: tuple[int, ...], J: set[int] | frozenset[int]) -> tuple[int, ...]:
-    """``restrict_p`` on a raw word, without the subset check."""
-    f = 1 if (len(w) + len(J)) % 2 == 0 else -1
-    return tuple(f * v for v in w if abs(v) in J)
+    f = 1 if (x.r + len(Jset)) % 2 == 0 else -1
+    return SignedPermutation(tuple(f * v for v in x.word if abs(v) in Jset))
 
 
 def _is_snake_word(w: tuple[int, ...]) -> bool:
@@ -303,36 +304,77 @@ def _words_lex(remaining: frozenset[int], prefix: tuple[int, ...] = ()
 def enumerate_snakes(I: Iterable[int]) -> list[BSnake]:
     """All B-snakes on I in lexicographic word order (the frozen basis order).
 
-    Generated by a pruned left-to-right search rather than by filtering the
-    full hyperoctahedral group, so the count springer(|I|) stays cheap even
-    at r = 7.
+    Every snake on I is restrictable to the trivial split (I, {}), so the
+    block walk of that split generates them all without filtering the full
+    hyperoctahedral group, and the count springer(|I|) stays cheap at r = 8.
     """
-    elems = index_set(I)
-    out = [SignedPermutation(w) for w in _snake_words(frozenset(elems))]
-    return out
+    return [SignedPermutation(z)
+            for z, _, _ in _restrictable_walk(frozenset(index_set(I)), frozenset())]
 
 
-def _snake_words(mags: frozenset[int]) -> Iterator[tuple[int, ...]]:
-    """Snake words on mags in lexicographic order, by a left-to-right search
-    that places a letter only where the alternation allows it.  The
-    restrictable snakes of a split are walked a block at a time by
-    ``ring._restrictable_walk`` instead."""
-    if not mags:
-        yield ()
-        return
+def _restrictable_walk(i1: frozenset[int], i2: frozenset[int],
+                       side: frozenset[int] | None = None,
+                       prefixes: set[Word] | None = None
+                       ) -> Iterator[tuple[Word, Word, Word]]:
+    """The restrictable snakes z of the split (I1, I2), lazily and in
+    lexicographic order, as (z, P_I1(z), P_I2(z)).
 
-    def rec(prefix: tuple[int, ...], remaining: frozenset[int], want_gt: bool
-            ) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            yield prefix
-            return
-        last = prefix[-1]
-        for v in _signed_values(remaining):
-            if (last > v) if want_gt else (last < v):
-                yield from rec(prefix + (v,), remaining - {abs(v)}, not want_gt)
+    Every length-2 block of such a z lies inside one part, so for odd r the
+    lead is a positive letter of the odd-sized part.  After the lead come
+    r//2 blocks (p, q), each taken from one part: p < q and p below the
+    previous q (or the lead) for odd r; p > q and p above the previous q
+    (above 0 for the first block) for even r.  The restrictions grow a
+    block at a time and are already canonically oriented with sign +1.
+    With ``side`` (I1 or I2) and ``prefixes``, a lead or block of side is
+    placed only if the restriction to side that it ends is in prefixes, so
+    the words kept are those whose P_side(z) is in that block-prefix-closed
+    set.  A split whose parts overlap or both have odd size is not checked."""
+    r = len(i1) + len(i2)
+    odd = r % 2
+    f1 = 1 if (r + len(i1)) % 2 == 0 else -1
+    f2 = 1 if (r + len(i2)) % 2 == 0 else -1
+    cut1, cut2 = (prefixes, None) if side == i1 else (None, prefixes)
+    # (p, q, magnitude mask, from I1, P_part letters), both parts in lex order
+    blocks = sorted((p, q, 1 << abs(p) | 1 << abs(q), part is i1, (f * p, f * q))
+                    for part, f in ((i1, f1), (i2, f2))
+                    for p in _signed_values(part) for q in _signed_values(part)
+                    if abs(p) != abs(q) and (p < q if odd else p > q))
+    full = sum(1 << m for m in i1 | i2)
+    free: dict[int, tuple[list, list[int]]] = {}  # used magnitudes -> blocks left, heads
 
-    for first in sorted(mags):
-        yield from rec((first,), mags - {first}, True)
+    def rec(z: Word, used: int, last: int, w1: Word, w2: Word
+            ) -> Iterator[tuple[Word, Word, Word]]:
+        if used not in free:
+            avail = [b for b in blocks if not used & b[2]]
+            free[used] = avail, [b[0] for b in avail]
+        avail, heads = free[used]
+        for p, q, mask, in1, pair in (avail[:bisect_left(heads, last)] if odd
+                                      else avail[bisect_right(heads, last):]):
+            if in1:
+                n1, n2 = w1 + pair, w2
+                if cut1 is not None and n1 not in cut1:
+                    continue
+            else:
+                n1, n2 = w1, w2 + pair
+                if cut2 is not None and n2 not in cut2:
+                    continue
+            if used | mask == full:
+                yield z + (p, q), n1, n2
+            else:
+                yield from rec(z + (p, q), used | mask, q, n1, n2)
+
+    if odd:  # the lead: a positive letter of the odd-sized part
+        lead_in1 = len(i1) % 2 == 1
+        cut = cut1 if lead_in1 else cut2
+        starts = [((m,), 1 << m, m, *(((m,), ()) if lead_in1 else ((), (m,))))
+                  for m in sorted(i1 if lead_in1 else i2) if cut is None or (m,) in cut]
+    else:
+        starts = [((), 0, 0, (), ())]
+    for z, used, last, w1, w2 in starts:
+        if used == full:
+            yield z, w1, w2
+        else:
+            yield from rec(z, used, last, w1, w2)
 
 
 def springer(r: int, cap: int = ENUMERATION_CAP) -> int:
@@ -346,7 +388,7 @@ def springer(r: int, cap: int = ENUMERATION_CAP) -> int:
 @lru_cache(maxsize=None)
 def _springer(r: int) -> int:
     """One enumeration per r, whatever cap ``springer`` was given."""
-    return sum(1 for _ in _snake_words(frozenset(range(1, r + 1))))
+    return sum(1 for _ in _restrictable_walk(frozenset(range(1, r + 1)), frozenset()))
 
 
 def _block_sums(w: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (IndexSet, SignedPermutation, _check_cap, _format_word,
+from .core import (IndexSet, SignedPermutation, Word, _check_cap, _format_word,
                    _is_snake_word, _word_lt, as_snake, enumerate_signed_perms,
                    index_set)
 from .linalg import SparseVector
@@ -33,8 +33,6 @@ REWRITE_CAP = 7
 SOLVE_CAP = 5
 
 BACKENDS = ("rewrite", "solve")
-
-Word = tuple[int, ...]
 
 _nf_memo: dict[Word, dict[Word, int]] = {}
 
@@ -139,11 +137,7 @@ def coefficient(x: SignedPermutation, alpha: SignedPermutation,
     as_snake(alpha)
     if x.support != alpha.support:
         raise ValueError(f"supports differ: {x.support} vs {alpha.support}")
-    if backend != "rewrite":
-        return Fraction(normal_form(x, backend).coefficient(alpha))
-    _check_rewrite_cap(x.r)
-    sign, cw = _canonical_word(x.word)
-    return Fraction(sign * _nf_canonical(cw).get(alpha.word, 0))
+    return Fraction(normal_form(x, backend).coefficient(alpha))
 
 
 def normal_form_lincomb(c: LinComb, backend: str = "rewrite") -> LinComb:

@@ -12,26 +12,26 @@ factor; each such z contributes
 where C(-,-) are snake-basis coefficients from the normalform module,
 P_J is the parity-corrected restriction, and kappa counts odd-position
 crossings between the factors.  Every product over one split (I1, I2)
-comes from one walk of those z, a block at a time: for odd |I1 u I2| the
-lead is a positive letter of the factor of odd size, and each later block
-is taken whole from one factor.  Both restrictions grow with the walk and
-are canonically oriented by construction, so no z is restricted or
+comes from one walk of those z, a block at a time, by the walk that
+enumerates the snake basis in ``core``: for odd |I1 u I2| the lead is a
+positive letter of the factor of odd size, and each later block is taken
+whole from one factor.  Both restrictions grow with the walk and are
+canonically oriented by construction, so no z is restricted or
 reoriented afterwards.  The unit is the empty snake at I = {}.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
-from .core import (EMPTY, IndexSet, SignedPermutation, _check_cap, _is_snake_word,
-                   _signed_values, _springer, _subsets, _words_lex, as_snake,
+from .core import (EMPTY, IndexSet, SignedPermutation, Word, _check_cap, _is_snake_word,
+                   _restrictable_walk, _springer, _subsets, _words_lex, as_snake,
                    enumerate_snakes, index_set)
 from .linalg import SparseVector
-from .normalform import Word, _check_rewrite_cap, _nf_canonical
+from .normalform import _check_rewrite_cap, _nf_canonical
 from .relations import LinComb, _canonical_word
 
 BETTI_CAP = 7
@@ -102,71 +102,6 @@ def _restriction_prefixes(side: frozenset[int], word: Word) -> set[Word]:
         if word in _nf_canonical(y):
             keep.update(y[:j] for j in range(2 - len(y) % 2, len(y) + 1, 2))
     return keep
-
-
-def _restrictable_walk(i1: frozenset[int], i2: frozenset[int],
-                       side: frozenset[int] | None = None,
-                       prefixes: set[Word] | None = None
-                       ) -> Iterator[tuple[Word, Word, Word]]:
-    """The restrictable snakes z of the split (I1, I2), lazily and in
-    lexicographic order, as (z, P_I1(z), P_I2(z)).
-
-    Every length-2 block of such a z lies inside one part, so for odd r the
-    lead is a positive letter of the odd-sized part.  After the lead come
-    r//2 blocks (p, q), each taken from one part: p < q and p below the
-    previous q (or the lead) for odd r; p > q and p above the previous q
-    (above 0 for the first block) for even r.  The restrictions grow a
-    block at a time and are already canonically oriented with sign +1.
-    With ``side`` (I1 or I2) and ``prefixes``, a lead or block of side is
-    placed only if the restriction to side that it ends is in prefixes, so
-    the words kept are those whose P_side(z) is in that block-prefix-closed
-    set.  A split whose parts overlap or both have odd size is not checked."""
-    r = len(i1) + len(i2)
-    odd = r % 2
-    f1 = 1 if (r + len(i1)) % 2 == 0 else -1
-    f2 = 1 if (r + len(i2)) % 2 == 0 else -1
-    cut1, cut2 = (prefixes, None) if side == i1 else (None, prefixes)
-    # (p, q, magnitude mask, from I1, P_part letters), both parts in lex order
-    blocks = sorted((p, q, 1 << abs(p) | 1 << abs(q), part is i1, (f * p, f * q))
-                    for part, f in ((i1, f1), (i2, f2))
-                    for p in _signed_values(part) for q in _signed_values(part)
-                    if abs(p) != abs(q) and (p < q if odd else p > q))
-    full = sum(1 << m for m in i1 | i2)
-    free: dict[int, tuple[list, list[int]]] = {}  # used magnitudes -> blocks left, heads
-
-    def rec(z: Word, used: int, last: int, w1: Word, w2: Word
-            ) -> Iterator[tuple[Word, Word, Word]]:
-        if used not in free:
-            avail = [b for b in blocks if not used & b[2]]
-            free[used] = avail, [b[0] for b in avail]
-        avail, heads = free[used]
-        for p, q, mask, in1, pair in (avail[:bisect_left(heads, last)] if odd
-                                      else avail[bisect_right(heads, last):]):
-            if in1:
-                n1, n2 = w1 + pair, w2
-                if cut1 is not None and n1 not in cut1:
-                    continue
-            else:
-                n1, n2 = w1, w2 + pair
-                if cut2 is not None and n2 not in cut2:
-                    continue
-            if used | mask == full:
-                yield z + (p, q), n1, n2
-            else:
-                yield from rec(z + (p, q), used | mask, q, n1, n2)
-
-    if odd:  # the lead: a positive letter of the odd-sized part
-        lead_in1 = len(i1) % 2 == 1
-        cut = cut1 if lead_in1 else cut2
-        starts = [((m,), 1 << m, m, *(((m,), ()) if lead_in1 else ((), (m,))))
-                  for m in sorted(i1 if lead_in1 else i2) if cut is None or (m,) in cut]
-    else:
-        starts = [((), 0, 0, (), ())]
-    for z, used, last, w1, w2 in starts:
-        if used == full:
-            yield z, w1, w2
-        else:
-            yield from rec(z, used, last, w1, w2)
 
 
 def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,

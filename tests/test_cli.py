@@ -338,6 +338,8 @@ STDOUT_SHA256 = {
         "3e7823e40f7e51f6127f0056d99762be378506fd9e38f9de9c69186de1316d39",
     ("cup", "[62]", "[3/-47/15]", "--unsafe-cap", "7", "--json"):
         "19d66890eecf63b83e7c58180d18999aefec907abd2b0266d8c86735db6c92c1",
+    ("snakes", "--set", "1,2,3,4,5,6,7", "--json"):
+        "0faf4cd15d109e2b2ac5de62c4986d99d09bae74afa68801038de63753af4155",
 }
 
 
