@@ -250,6 +250,18 @@ def restrict_p(x: SignedPermutation, J: Iterable[int]) -> SignedPermutation:
     return SignedPermutation(tuple(f * v for v in x.word if abs(v) in Jset))
 
 
+def _relabelling(old: Iterable[int], new: Iterable[int]) -> dict[int, int]:
+    """The order-preserving relabelling from the increasing magnitudes
+    ``old`` to ``new``, of one size, as a map of signed letters: it carries
+    a word w to ``tuple(map(to.__getitem__, w))``.  Normal forms,
+    restrictions and crossings commute with it, so a word on an r-set is
+    rewritten once, as its image on [r], and carried back."""
+    to: dict[int, int] = {}
+    for a, b in zip(old, new):
+        to[a], to[-a] = b, -b
+    return to
+
+
 def _is_snake_word(w: tuple[int, ...]) -> bool:
     if not w:
         return True
@@ -317,27 +329,31 @@ def _restrictable_walk(i1: frozenset[int], i2: frozenset[int],
                        prefixes: set[Word] | None = None
                        ) -> Iterator[tuple[Word, Word, Word]]:
     """The restrictable snakes z of the split (I1, I2), lazily and in
-    lexicographic order, as (z, P_I1(z), P_I2(z)).
+    lexicographic order, as (z, P_I1(z), P_I2(z)) with each restriction
+    relabelled onto [|I1|] and [|I2|] by the order-preserving map.
 
     Every length-2 block of such a z lies inside one part, so for odd r the
     lead is a positive letter of the odd-sized part.  After the lead come
     r//2 blocks (p, q), each taken from one part: p < q and p below the
     previous q (or the lead) for odd r; p > q and p above the previous q
     (above 0 for the first block) for even r.  The restrictions grow a
-    block at a time and are already canonically oriented with sign +1.
-    With ``side`` (I1 or I2) and ``prefixes``, a lead or block of side is
-    placed only if the restriction to side that it ends is in prefixes, so
-    the words kept are those whose P_side(z) is in that block-prefix-closed
-    set.  A split whose parts overlap or both have odd size is not checked."""
+    block at a time and are already canonically oriented with sign +1;
+    the relabelling is built into the leads and blocks, so it costs nothing
+    per z.  With ``side`` (I1 or I2) and ``prefixes`` (words on [|side|]),
+    a lead or block of side is placed only if the relabelled restriction to
+    side that it ends is in prefixes, so the words kept are those whose
+    relabelled P_side(z) is in that block-prefix-closed set.  A split whose
+    parts overlap or both have odd size is not checked."""
     r = len(i1) + len(i2)
     odd = r % 2
     f1 = 1 if (r + len(i1)) % 2 == 0 else -1
     f2 = 1 if (r + len(i2)) % 2 == 0 else -1
+    to1, to2 = (_relabelling(sorted(part), range(1, len(part) + 1)) for part in (i1, i2))
     cut1, cut2 = (prefixes, None) if side == i1 else (None, prefixes)
-    # (p, q, magnitude mask, from I1, P_part letters), both parts in lex order
-    blocks = sorted((p, q, 1 << abs(p) | 1 << abs(q), part is i1, (f * p, f * q))
-                    for part, f in ((i1, f1), (i2, f2))
-                    for p in _signed_values(part) for q in _signed_values(part)
+    # (p, q, magnitude mask, from I1, relabelled P_part letters), in lex order
+    blocks = sorted((p, q, 1 << abs(p) | 1 << abs(q), part is i1, (f * tp, f * tq))
+                    for part, f, to in ((i1, f1, to1), (i2, f2, to2))
+                    for p, tp in to.items() for q, tq in to.items()
                     if abs(p) != abs(q) and (p < q if odd else p > q))
     full = sum(1 << m for m in i1 | i2)
     free: dict[int, tuple[list, list[int]]] = {}  # used magnitudes -> blocks left, heads
@@ -365,9 +381,9 @@ def _restrictable_walk(i1: frozenset[int], i2: frozenset[int],
 
     if odd:  # the lead: a positive letter of the odd-sized part
         lead_in1 = len(i1) % 2 == 1
-        cut = cut1 if lead_in1 else cut2
-        starts = [((m,), 1 << m, m, *(((m,), ()) if lead_in1 else ((), (m,))))
-                  for m in sorted(i1 if lead_in1 else i2) if cut is None or (m,) in cut]
+        part, to, cut = (i1, to1, cut1) if lead_in1 else (i2, to2, cut2)
+        starts = [((m,), 1 << m, m, *(((to[m],), ()) if lead_in1 else ((), (to[m],))))
+                  for m in sorted(part) if cut is None or (to[m],) in cut]
     else:
         starts = [((), 0, 0, (), ())]
     for z, used, last, w1, w2 in starts:

@@ -17,7 +17,11 @@ enumerates the snake basis in ``core``: for odd |I1 u I2| the lead is a
 positive letter of the factor of odd size, and each later block is taken
 whole from one factor.  Both restrictions grow with the walk and are
 canonically oriented by construction, so no z is restricted or
-reoriented afterwards.  The unit is the empty snake at I = {}.
+reoriented afterwards.  They are also relabelled onto [|I1|] and [|I2|]
+by the order-preserving map, which normal forms commute with, so every
+product reads the normal-form memo on words on [k], shared by all
+supports of one size; only the split table's keys are carried back to
+the factors' own letters.  The unit is the empty snake at I = {}.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .core import (EMPTY, IndexSet, SignedPermutation, Word, _check_cap, _is_snake_word,
-                   _restrictable_walk, _springer, _subsets, _words_lex, as_snake,
-                   enumerate_snakes, index_set)
+                   _relabelling, _restrictable_walk, _springer, _subsets, _words_lex,
+                   as_snake, enumerate_snakes, index_set)
 from .linalg import SparseVector
 from .normalform import _check_rewrite_cap, _nf_canonical
 from .relations import LinComb, _canonical_word
@@ -91,14 +95,14 @@ def kappa(z: SignedPermutation, ctx: RestrictionContext) -> int:
     return _kappa_word(z.word, frozenset(ctx.i1))
 
 
-def _restriction_prefixes(side: frozenset[int], word: Word) -> set[Word]:
-    """The block-aligned prefixes (lengths 1, 3, ... for odd |side|, 2, 4,
-    ... for even) of every canonically oriented word on ``side`` whose
-    normal form mentions ``word``: the words P_side(z) can take.  There are
-    12 such words on a 3-letter side, the largest smaller factor of a union
-    of at most 7 letters."""
+def _restriction_prefixes(k: int, word: Word) -> set[Word]:
+    """The block-aligned prefixes (lengths 1, 3, ... for odd k, 2, 4, ...
+    for even) of every canonically oriented word on [k] whose normal form
+    mentions ``word``, itself a word on [k]: the relabelled words P_side(z)
+    can take.  There are 12 such words for k = 3, the largest smaller
+    factor of a union of at most 7 letters."""
     keep: set[Word] = set()
-    for y in {_canonical_word(x)[1] for x in _words_lex(side)}:
+    for y in {_canonical_word(x)[1] for x in _words_lex(frozenset(range(1, k + 1)))}:
         if word in _nf_canonical(y):
             keep.update(y[:j] for j in range(2 - len(y) % 2, len(y) + 1, 2))
     return keep
@@ -108,34 +112,44 @@ def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
                right: Word | None = None) -> dict[tuple[Word, Word], dict[Word, int]]:
     """Every nonzero basis product over the split (I1, I2), from one walk
     of the restrictable snakes z of the union: {(alpha, beta): {z: coeff}}
-    on raw words.  Each z reads the normal forms of P_I1(z) and P_I2(z)
-    from the memo and adds (-1)^kappa(z) * c1 * c2 to every (alpha, beta)
-    they mention.  Given ``left`` and ``right``, only those coordinates,
-    and the walk is pruned by the factor with fewer letters (I1 on a tie):
-    it visits only the z whose restriction to that factor has a normal
-    form mentioning its word, cutting a subtree at the first lead or block
-    that starts no such restriction.  A split whose parts overlap or both
-    have odd size raises ValueError."""
+    on raw words.  Each z reads the normal forms of its restrictions,
+    relabelled onto [|I1|] and [|I2|], from the memo and adds
+    (-1)^kappa(z) * c1 * c2 to every (alpha, beta) they mention; the keys
+    are relabelled back onto I1 and I2 once, at the end.  Given ``left``
+    and ``right``, only that key, and the walk is pruned by the factor
+    with fewer letters (I1 on a tie): it visits only the z whose
+    restriction to that factor has a normal form mentioning its word,
+    cutting a subtree at the first lead or block that starts no such
+    restriction.  A split whose parts overlap or both have odd size
+    raises ValueError."""
     i1, i2 = frozenset(i1), frozenset(i2)
     if i1 & i2 or len(i1) * len(i2) % 2:
         raise ValueError(f"{sorted(i1)}, {sorted(i2)} overlap or both have odd size")
     if left is None:
         walk = _restrictable_walk(i1, i2)
     else:
-        side, word = (i1, left) if len(i1) <= len(i2) else (i2, right)
-        walk = _restrictable_walk(i1, i2, side, _restriction_prefixes(side, word))
+        std_left, std_right = (
+            tuple(map(_relabelling(sorted(part), range(1, len(part) + 1)).__getitem__, w))
+            for part, w in ((i1, left), (i2, right)))
+        side, word = (i1, std_left) if len(i1) <= len(i2) else (i2, std_right)
+        walk = _restrictable_walk(i1, i2, side, _restriction_prefixes(len(side), word))
     table: dict[tuple[Word, Word], dict[Word, int]] = {}
     for z, w1, w2 in walk:
         nf1 = _nf_canonical(w1)
-        if left is not None and left not in nf1:  # skip z before reading P_I2(z)
+        if left is not None and std_left not in nf1:  # skip z before reading P_I2(z)
             continue
         nf2 = _nf_canonical(w2)
-        if right is not None and right not in nf2:
+        if right is not None and std_right not in nf2:
             continue
         sign = (-1) ** _kappa_word(z, i1)
-        for a, c1 in (nf1.items() if left is None else ((left, nf1[left]),)):
-            for b, c2 in (nf2.items() if right is None else ((right, nf2[right]),)):
+        for a, c1 in (nf1.items() if left is None else ((left, nf1[std_left]),)):
+            for b, c2 in (nf2.items() if right is None else ((right, nf2[std_right]),)):
                 table.setdefault((a, b), {})[z] = sign * c1 * c2
+    if left is None:
+        back1, back2 = (_relabelling(range(1, len(part) + 1), sorted(part)).__getitem__
+                        for part in (i1, i2))
+        table = {(tuple(map(back1, a)), tuple(map(back2, b))): terms
+                 for (a, b), terms in table.items()}
     return table
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bsnakes import ring
+from bsnakes import normalform, ring
 from bsnakes.core import (EMPTY, CapExceeded, SignedPermutation, _is_snake_word,
-                          _words_lex, enumerate_snakes, parse_sp, restrict_p, springer)
+                          _relabelling, _words_lex, enumerate_snakes, parse_sp, restrict_p,
+                          springer)
 from bsnakes.normalform import normal_form
 from bsnakes.relations import LinComb, _canonical_word
 from bsnakes.ring import (_CUP_CACHE_SIZE, RestrictionContext, RingElement,
@@ -213,14 +214,18 @@ def _seeded_prefixes(rng, subwords):
 
 def test_pruned_search_is_the_filtered_enumeration():
     """The block walk yields (z, P_I1(z), P_I2(z)) for the restrictable z in
-    word order; with a prefix set on one side, only the z whose restriction
-    to that side is in the set."""
+    word order, each restriction relabelled onto [|I1|] and [|I2|]; with a
+    prefix set on one side, only the z whose relabelled restriction to that
+    side is in the set."""
     rng = random.Random(6)
     for U in subsets(6):
         snakes = _filtered_snakes(U)
         for i1, i2 in _splits(U):
             ctx = RestrictionContext(i1, i2)
-            want = [(z.word, restrict_p(z, i1).word, restrict_p(z, i2).word)
+            std1, std2 = (_relabelling(part, range(1, len(part) + 1)).__getitem__
+                          for part in (i1, i2))
+            want = [(z.word, tuple(map(std1, restrict_p(z, i1).word)),
+                     tuple(map(std2, restrict_p(z, i2).word)))
                     for z in snakes if is_restrictable(z, ctx)]
             s1, s2 = frozenset(i1), frozenset(i2)
             assert list(_restrictable_walk(s1, s2)) == want, (i1, i2)
@@ -311,6 +316,30 @@ def test_single_pair_walk_is_pruned_by_the_smaller_factor(monkeypatch):
     walks.clear()
     _cup_split((1, 4), (2, 3))  # a whole split walks unpruned
     assert walks == [(None, False)]
+
+
+def test_products_share_one_memo_entry_per_relabelled_word(monkeypatch):
+    """A product reads normal forms of restrictions relabelled onto [k]:
+    every word it rewrites is on [k], and the same pair moved onto another
+    support of the same size rewrites nothing new and gives the moved
+    product."""
+    memo: dict = {}
+    monkeypatch.setattr(normalform, "_nf_memo", memo)
+    _cup_cached.cache_clear()
+    U, V = (2, 3, 4, 5, 6, 7, 8), (1, 3, 4, 5, 7, 8, 9)
+    to_v = _relabelling(U, V)
+
+    def move(x):
+        return SignedPermutation(tuple(map(to_v.__getitem__, x.word)))
+
+    a, b = sp("[5]"), sp("[7-2/63/8-4]")  # [4] x [6-1/52/7-3] moved onto U
+    prod = cup_basis(a, b)
+    assert prod and memo
+    assert all(sorted(map(abs, key)) == list(range(1, len(key) + 1)) for key in memo)
+    seen = len(memo)
+    moved = cup_basis(move(a), move(b))
+    assert len(memo) == seen
+    assert moved == LinComb(V, {move(z): c for z, c in prod.terms.items()})
 
 
 def test_split_table_rejects_invalid_splits():
