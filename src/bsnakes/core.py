@@ -243,11 +243,8 @@ def subperm(x: SignedPermutation, J: Iterable[int]) -> SignedPermutation:
 def restrict_p(x: SignedPermutation, J: Iterable[int]) -> SignedPermutation:
     """Parity-corrected restriction P_J: the subword of x, or of bar(x) when
     |support| + |J| is odd."""
-    Jset = set(J)
-    if not Jset <= set(x.support):
-        raise ValueError(f"{sorted(Jset)} is not a subset of the support {x.support}")
-    f = 1 if (x.r + len(Jset)) % 2 == 0 else -1
-    return SignedPermutation(tuple(f * v for v in x.word if abs(v) in Jset))
+    y = subperm(x, J)
+    return bar(y) if (x.r + y.r) % 2 else y
 
 
 def _relabelling(old: Iterable[int], new: Iterable[int]) -> dict[int, int]:

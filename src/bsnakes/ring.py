@@ -11,17 +11,17 @@ factor; each such z contributes
 
 where C(-,-) are snake-basis coefficients from the normalform module,
 P_J is the parity-corrected restriction, and kappa counts odd-position
-crossings between the factors.  Every product over one split (I1, I2)
-comes from one walk of those z, a block at a time, by the walk that
-enumerates the snake basis in ``core``: for odd |I1 u I2| the lead is a
-positive letter of the factor of odd size, and each later block is taken
-whole from one factor.  Both restrictions grow with the walk and are
-canonically oriented by construction, so no z is restricted or
-reoriented afterwards.  They are also relabelled onto [|I1|] and [|I2|]
-by the order-preserving map, which normal forms commute with, so every
-product reads the normal-form memo on words on [k], shared by all
-supports of one size; only the split table's keys are carried back to
-the factors' own letters.  The unit is the empty snake at I = {}.
+crossings between the factors.  The z of one split (I1, I2) come from
+one walk, a block at a time, by the walk that enumerates the snake basis
+in ``core``: for odd |I1 u I2| the lead is a positive letter of the
+factor of odd size, and each later block is taken whole from one factor.
+Both restrictions grow with the walk, canonically oriented and relabelled
+onto [|I1|] and [|I2|] by the order-preserving map, which normal forms
+commute with, so every product reads the normal-form memo on words on
+[k].  Two kernels read the walk: ``_cup_split`` scatters every product of
+a split into one table whose keys alone go back to the factors' letters,
+and ``_cup_cached``, behind ``cup_basis``, walks one pair's z pruned by
+the smaller factor.  The unit is the empty snake at I = {}.
 """
 
 from __future__ import annotations
@@ -108,49 +108,30 @@ def _restriction_prefixes(k: int, word: Word) -> set[Word]:
     return keep
 
 
-def _cup_split(i1: Iterable[int], i2: Iterable[int], left: Word | None = None,
-               right: Word | None = None) -> dict[tuple[Word, Word], dict[Word, int]]:
+def _cup_split(i1: Iterable[int], i2: Iterable[int]
+               ) -> dict[tuple[Word, Word], dict[Word, int]]:
     """Every nonzero basis product over the split (I1, I2), from one walk
     of the restrictable snakes z of the union: {(alpha, beta): {z: coeff}}
     on raw words.  Each z reads the normal forms of its restrictions,
     relabelled onto [|I1|] and [|I2|], from the memo and adds
     (-1)^kappa(z) * c1 * c2 to every (alpha, beta) they mention; the keys
-    are relabelled back onto I1 and I2 once, at the end.  Given ``left``
-    and ``right``, only that key, and the walk is pruned by the factor
-    with fewer letters (I1 on a tie): it visits only the z whose
-    restriction to that factor has a normal form mentioning its word,
-    cutting a subtree at the first lead or block that starts no such
-    restriction.  A split whose parts overlap or both have odd size
-    raises ValueError."""
+    are relabelled back onto I1 and I2 once, at the end.  A split whose
+    parts overlap or both have odd size raises ValueError."""
     i1, i2 = frozenset(i1), frozenset(i2)
     if i1 & i2 or len(i1) * len(i2) % 2:
         raise ValueError(f"{sorted(i1)}, {sorted(i2)} overlap or both have odd size")
-    if left is None:
-        walk = _restrictable_walk(i1, i2)
-    else:
-        std_left, std_right = (
-            tuple(map(_relabelling(sorted(part), range(1, len(part) + 1)).__getitem__, w))
-            for part, w in ((i1, left), (i2, right)))
-        side, word = (i1, std_left) if len(i1) <= len(i2) else (i2, std_right)
-        walk = _restrictable_walk(i1, i2, side, _restriction_prefixes(len(side), word))
     table: dict[tuple[Word, Word], dict[Word, int]] = {}
-    for z, w1, w2 in walk:
+    for z, w1, w2 in _restrictable_walk(i1, i2):
         nf1 = _nf_canonical(w1)
-        if left is not None and std_left not in nf1:  # skip z before reading P_I2(z)
-            continue
         nf2 = _nf_canonical(w2)
-        if right is not None and std_right not in nf2:
-            continue
         sign = (-1) ** _kappa_word(z, i1)
-        for a, c1 in (nf1.items() if left is None else ((left, nf1[std_left]),)):
-            for b, c2 in (nf2.items() if right is None else ((right, nf2[std_right]),)):
+        for a, c1 in nf1.items():
+            for b, c2 in nf2.items():
                 table.setdefault((a, b), {})[z] = sign * c1 * c2
-    if left is None:
-        back1, back2 = (_relabelling(range(1, len(part) + 1), sorted(part)).__getitem__
-                        for part in (i1, i2))
-        table = {(tuple(map(back1, a)), tuple(map(back2, b))): terms
-                 for (a, b), terms in table.items()}
-    return table
+    back1, back2 = (_relabelling(range(1, len(part) + 1), sorted(part)).__getitem__
+                    for part in (i1, i2))
+    return {(tuple(map(back1, a)), tuple(map(back2, b))): terms
+            for (a, b), terms in table.items()}
 
 
 def _product(union: Iterable[int], terms: Mapping[Word, int]) -> LinComb:
@@ -178,9 +159,23 @@ def _zero(support: frozenset[int]) -> LinComb:
 
 @lru_cache(maxsize=_CUP_CACHE_SIZE)
 def _cup_cached(alpha: SignedPermutation, beta: SignedPermutation) -> LinComb:
-    """cup_basis on disjoint supports with even size product."""
-    table = _cup_split(alpha.support, beta.support, alpha.word, beta.word)
-    return _product(alpha.support + beta.support, table.get((alpha.word, beta.word), {}))
+    """cup_basis on disjoint supports with even size product, from one
+    pair's walk: with both words relabelled onto [k], it visits only the z
+    whose restriction to the factor with fewer letters (I1 on a tie) has a
+    normal form mentioning that factor's word."""
+    i1, i2 = frozenset(alpha.support), frozenset(beta.support)
+    left, right = (tuple(map(_relabelling(x.support, range(1, x.r + 1)).__getitem__, x.word))
+                   for x in (alpha, beta))
+    side, word = (i1, left) if len(i1) <= len(i2) else (i2, right)
+    terms: dict[Word, int] = {}
+    for z, w1, w2 in _restrictable_walk(i1, i2, side, _restriction_prefixes(len(side), word)):
+        nf1 = _nf_canonical(w1)
+        if left not in nf1:  # skip z before reading P_I2(z)
+            continue
+        nf2 = _nf_canonical(w2)
+        if right in nf2:
+            terms[z] = (-1) ** _kappa_word(z, i1) * nf1[left] * nf2[right]
+    return _product(alpha.support + beta.support, terms)
 
 
 class RingElement(SparseVector):
@@ -190,8 +185,12 @@ class RingElement(SparseVector):
 
     def __init__(self, n: int, components: Mapping[IndexSet, LinComb] | None = None):
         terms: dict = {}
+        seen: set[IndexSet] = set()
         for sup, comb_ in (components or {}).items():
             sup = index_set(sup)
+            if sup in seen:
+                raise ValueError(f"support {sup} is named by two keys")
+            seen.add(sup)
             if sup and sup[-1] > n:
                 raise ValueError(f"component {sup} outside ambient [{n}]")
             if comb_.support != sup:

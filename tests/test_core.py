@@ -208,6 +208,10 @@ def test_restrict_p_golden():
     assert restrict_p(z, {1, 5}) == sp("[-1-5]")
     assert restrict_p(z, {2, 3, 4}) == sp("[2/-4-3]")
     assert restrict_p(sp("[1-4/32]"), {1, 4}) == sp("[1-4]")
+    assert restrict_p(z, iter([5, 1])) == sp("[-1-5]")  # J is read once
+    msg = r"^\[1, 6\] is not a subset of the support \(1, 2, 3, 4, 5\)$"
+    with pytest.raises(ValueError, match=msg):
+        restrict_p(z, {1, 6})
 
 
 # --- snakes ------------------------------------------------------------------

@@ -309,9 +309,9 @@ def test_single_pair_walk_is_pruned_by_the_smaller_factor(monkeypatch):
     for left, right, side in (("[6/13]", "[2-7/5-4]", {1, 3, 6}),
                               ("[62/5-4/7-3]", "[1]", {1}),
                               ("[41]", "[32]", {1, 4})):  # a tie prunes by I1
-        a, b = sp(left), sp(right)
         walks.clear()
-        _cup_split(a.support, b.support, a.word, b.word)
+        _cup_cached.cache_clear()
+        cup_basis(sp(left), sp(right))
         assert walks == [(frozenset(side), True)], (left, right)
     walks.clear()
     _cup_split((1, 4), (2, 3))  # a whole split walks unpruned
@@ -375,19 +375,20 @@ def test_vanishing_products_share_one_zero_per_support():
 
 
 def test_split_table_is_every_product_of_the_split():
-    # the full scatter (which the oracle referees) against the filtered
-    # path that cup_basis takes, pair by pair
+    # the whole-split kernel (which the oracle referees) against the pruned
+    # pair kernel that cup_basis takes, pair by pair: every split inside
+    # [5], and both orientations of one 2 + 4 split of a 6-set
     checked = 0
-    for U in subsets(5):
-        for i1, i2 in _splits(U):
-            table = _cup_split(i1, i2)
-            for a in enumerate_snakes(i1):
-                for b in enumerate_snakes(i2):
-                    terms = table.get((a.word, b.word), {})
-                    want = cup_basis(a, b)
-                    assert {z.word: c for z, c in want.terms.items()} == terms, (a, b)
-                    checked += 1
-    assert checked == 3263  # every nonvanishing ordered pair over [5]
+    for i1, i2 in [split for U in subsets(5) for split in _splits(U)] + [
+            ((2, 5), (1, 3, 4, 6)), ((1, 3, 4, 6), (2, 5))]:
+        table = _cup_split(i1, i2)
+        for a in enumerate_snakes(i1):
+            for b in enumerate_snakes(i2):
+                terms = table.get((a.word, b.word), {})
+                want = cup_basis(a, b)
+                assert {z.word: c for z, c in want.terms.items()} == terms, (a, b)
+                checked += 1
+    assert checked == 3263 + 342  # every nonvanishing ordered pair over [5], and the 2 + 4
 
 
 # --- ring elements ----------------------------------------------------------------
@@ -423,6 +424,9 @@ def test_ring_element_validation():
         RingElement(3, {(1, 2): LinComb.single(sp("[12]"))})
     with pytest.raises(ValueError):
         cup(RingElement.unit(2), RingElement.unit(3))
+    with pytest.raises(ValueError, match="named by two keys"):  # not the last one kept
+        RingElement(3, {(1, 2): LinComb.single(sp("[21]")),
+                        (2, 1): LinComb.single(sp("[21]"), 5)})
 
 
 def test_ring_element_json():
