@@ -90,9 +90,6 @@ def _nf_canonical(cw: Word) -> dict[Word, int]:
     stack = [cw]
     while stack:
         w = stack[-1]
-        if w in _nf_memo:
-            stack.pop()
-            continue
         if _is_snake_word(w):
             _nf_memo[w] = {w: 1}
             stack.pop()

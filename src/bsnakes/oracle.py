@@ -10,6 +10,8 @@ so that the two routes can referee each other:
   * ``full_subcomplex(n, J)`` is the induced subcomplex of the full
     nested-chain complex on [n] spanned by vertices with odd signed
     incidence to J; ``retract_pi`` collapses it onto the hat complex.
+    Either builder makes a new complex per call, which lists its levels
+    of simplices once; ``reduced_betti`` keeps each boundary rank on it.
   * ``chain_of(x)`` realizes a signed permutation as the fundamental cycle
     of an embedded cross-polytope boundary: one simplex per choice of
     x-or-star(x) at each level, signed by the number of star choices.
@@ -55,71 +57,50 @@ def _vkey(v: SignedSubset) -> tuple[int, tuple[int, ...]]:
 
 
 class NestedChainComplex:
-    """Simplicial complex whose simplices are strictly nested vertex chains."""
+    """Simplicial complex whose simplices are strictly nested vertex chains.
+
+    Every level is built once, here: a k-simplex is a (k-1)-simplex
+    extended by a strict superset of its last vertex.  ``reduced_betti``
+    keeps the rank of each boundary map it computes on the complex."""
 
     def __init__(self, vertices: Iterable[SignedSubset], description: str):
         self.description = description
         self.vertices: list[SignedSubset] = sorted(set(vertices), key=_vkey)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._supersets: list[list[int]] | None = None
-        self._simplices: dict[int, list[Simplex]] = {}
-        self._simplex_index: dict[int, dict[Simplex, int]] = {}
-        self._matrices: dict[int, "SparseMatrix"] = {}
+        supersets = {v: [w for w in self.vertices if len(w) > len(v) and v < w]
+                     for v in self.vertices}
+        self._levels: list[list[Simplex]] = [[()]]  # the k-simplices at k + 1
+        level = [(v,) for v in self.vertices]
+        while level:
+            self._levels.append(level)
+            level = [s + (w,) for s in level for w in supersets[s[-1]]]
+        self._faces = [{s: i for i, s in enumerate(sims)} for sims in self._levels]
+        self._ranks: dict[int, int] = {}  # k -> rank of the boundary of k-chains
 
     def __repr__(self):
         return f"NestedChainComplex({self.description}, {len(self.vertices)} vertices)"
 
-    def _adjacency(self) -> list[list[int]]:
-        if self._supersets is None:
-            verts = self.vertices
-            self._supersets = [
-                [j for j, w in enumerate(verts) if len(w) > len(v) and v < w]
-                for v in verts
-            ]
-        return self._supersets
-
     def simplices(self, k: int) -> list[Simplex]:
         """All k-simplices; k = -1 yields the single empty simplex."""
-        if k < -1:
-            return []
-        if k == -1:
-            return [()]
-        if k not in self._simplices:
-            if k == 0:
-                sims = [(v,) for v in self.vertices]
-            else:
-                adj = self._adjacency()
-                prev = [tuple(self._index[v] for v in s) for s in self.simplices(k - 1)]
-                sims = []
-                for chain in prev:
-                    for j in adj[chain[-1]]:
-                        sims.append(tuple(self.vertices[i] for i in chain) +
-                                    (self.vertices[j],))
-            self._simplices[k] = sims
-            self._simplex_index[k] = {s: i for i, s in enumerate(sims)}
-        return self._simplices[k]
+        return self._levels[k + 1] if 0 <= k + 1 < len(self._levels) else []
 
     def simplex_index(self, k: int) -> dict[Simplex, int]:
-        self.simplices(k)
-        return self._simplex_index[k] if k >= 0 else {(): 0}
+        return self._faces[k + 1] if 0 <= k + 1 < len(self._faces) else {}
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices(k))
 
     @property
     def dim(self) -> int:
-        k = -1
-        while self.simplices(k + 1):
-            k += 1
-        return k
+        return len(self._levels) - 2
 
     def to_json(self) -> dict:
         """Face-list export for external inspection."""
+        vertex = self.simplex_index(0)
         return {
             "description": self.description,
             "vertices": [sorted(v) for v in self.vertices],
             "simplices": {
-                str(k): [[self._index[v] for v in s] for s in self.simplices(k)]
+                str(k): [[vertex[(v,)] for v in s] for s in self.simplices(k)]
                 for k in range(self.dim + 1)
             },
         }
@@ -129,12 +110,6 @@ def hat_complex(I: Iterable[int], cap: int = ORACLE_CAP) -> NestedChainComplex:
     """Complex of odd-cardinality signed subsets over +/-I, nested chains."""
     sup = index_set(I)
     _check_cap("|I|", len(sup), "oracle", cap)
-    return _hat_complex(sup)
-
-
-@lru_cache(maxsize=None)
-def _hat_complex(sup: IndexSet) -> NestedChainComplex:
-    """One build per support, however ``hat_complex`` was called."""
     verts = []
     for size in range(1, len(sup) + 1, 2):
         for mags in itertools.combinations(sup, size):
@@ -147,17 +122,11 @@ def full_subcomplex(n: int, J: Iterable[int], cap: int = FULLSUB_CAP) -> NestedC
     """Induced subcomplex of the full nested-chain complex on [n] spanned by
     vertices whose signed incidence with J has odd cardinality."""
     _check_cap("n", n, "full-subcomplex", cap)
-    return _full_subcomplex(n, index_set(J))
-
-
-@lru_cache(maxsize=None)
-def _full_subcomplex(n: int, J: IndexSet) -> NestedChainComplex:
-    """One build per (n, J), however ``full_subcomplex`` was called."""
-    Jset = set(J)
+    J = index_set(J)
     verts = []
     for signs in itertools.product((0, 1, -1), repeat=n):
         L = frozenset(s * (i + 1) for i, s in enumerate(signs) if s)
-        if L and sum(1 for m in Jset if m in L or -m in L) % 2 == 1:
+        if L and sum(1 for m in J if m in L or -m in L) % 2 == 1:
             verts.append(L)
     return NestedChainComplex(verts, f"fullsub(n={n}, J={J})")
 
@@ -214,28 +183,21 @@ class SparseMatrix:
     def __init__(self, nrows: int, columns: list[dict[int, int]]):
         self.nrows = nrows
         self.columns = columns
-        self._rank: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, len(self.columns))
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = sum(map(SparseEchelon().add_row, self.columns))
-        return self._rank
+        return sum(map(SparseEchelon().add_row, self.columns))
 
 
 def boundary_matrix(c: NestedChainComplex, k: int) -> SparseMatrix:
     """Boundary from k-chains to (k-1)-chains; k = 0 is the augmentation."""
-    if k in c._matrices:
-        return c._matrices[k]
     rows = c.simplex_index(k - 1)
     cols = [{rows[sigma[:i] + sigma[i + 1:]]: (-1) ** i for i in range(len(sigma))}
             for sigma in c.simplices(k)]
-    mat = SparseMatrix(len(rows), cols)
-    c._matrices[k] = mat
-    return mat
+    return SparseMatrix(len(rows), cols)
 
 
 def reduced_betti(c: NestedChainComplex, k: int) -> int:
@@ -246,10 +208,10 @@ def reduced_betti(c: NestedChainComplex, k: int) -> int:
     """
     if k < -1:
         return 0
-    nk = c.n_simplices(k)
-    rk = boundary_matrix(c, k).rank() if k >= 0 else 0
-    rk1 = boundary_matrix(c, k + 1).rank()
-    return nk - rk - rk1
+    for j in (k, k + 1):
+        if j not in c._ranks:
+            c._ranks[j] = boundary_matrix(c, j).rank()
+    return c.n_simplices(k) - c._ranks[k] - c._ranks[k + 1]
 
 
 def _top_dim(I: IndexSet) -> int:

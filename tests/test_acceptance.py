@@ -203,8 +203,21 @@ def test_criterion_9_ring_axioms():
                             if not disjoint_even:
                                 assert not left
 
+        def sides(a, b, c, ab, bc):
+            """(a * b) * c and a * (b * c), given ab = a * b and bc = b * c."""
+            sym = tuple(sorted(set(a.support) ^ set(b.support) ^ set(c.support)))
+            left = LinComb.zero(sym)
+            for z, coeff in ab.items():
+                left = left + cup_basis(z, c).scale(coeff)
+            right = LinComb.zero(sym)
+            for w, coeff in bc.items():
+                right = right + cup_basis(a, w).scale(coeff)
+            return left, right
+
         # associativity over every basis triple inside [4]; each b * c is
-        # computed once, not once per a
+        # computed once, not once per a.  Inside [4] every triple on
+        # nonempty disjoint supports has a pair with |I|*|J| odd, so this
+        # sweep checks only zero products and the unit
         basis = graded_basis(4)
         right_of = {b: [cup_basis(b, c) for c in basis] for b in basis}
         checked = 0
@@ -214,17 +227,25 @@ def test_criterion_9_ring_axioms():
                 for c, bc in zip(basis, right_of[b]):
                     if not ab and not bc:
                         continue  # both sides are zero products
-                    sym = tuple(sorted(set(a.support) ^ set(b.support)
-                                       ^ set(c.support)))
-                    left = LinComb.zero(sym)
-                    for z, coeff in ab.items():
-                        left = left + cup_basis(z, c).scale(coeff)
-                    right = LinComb.zero(sym)
-                    for w, coeff in bc.items():
-                        right = right + cup_basis(a, w).scale(coeff)
+                    left, right = sides(a, b, c, ab, bc)
                     assert left == right, (a, b, c)
                     checked += 1
         assert checked > 10000
+
+        # associativity with content: every triple of basis snakes on
+        # nonempty, pairwise disjoint supports inside [5]
+        supports = [I for I in subsets(5) if I]
+        triples = nonzero = 0
+        for I1, I2, I3 in itertools.product(supports, repeat=3):
+            if len(set(I1) | set(I2) | set(I3)) < len(I1) + len(I2) + len(I3):
+                continue
+            for a, b, c in itertools.product(enumerate_snakes(I1), enumerate_snakes(I2),
+                                             enumerate_snakes(I3)):
+                left, right = sides(a, b, c, cup_basis(a, b), cup_basis(b, c))
+                assert left == right, (a, b, c)
+                triples += 1
+                nonzero += bool(left)
+        assert (triples, nonzero) == (2070, 810)
 
         # Betti tables: formula vs the basis-dimension audit
         for n in range(6):

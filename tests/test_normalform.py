@@ -198,6 +198,23 @@ def test_rewrite_steps_strictly_decrease():
     assert count > 100
 
 
+def test_memo_contents_do_not_depend_on_fill_order(monkeypatch):
+    # every canonical word on [6] into a cold memo, once sorted and once
+    # shuffled: the rewrites of one order leave the same entries as the other
+    from bsnakes.core import _words_lex
+    from bsnakes.relations import _canonical_word
+    words = sorted({_canonical_word(w)[1] for w in _words_lex(frozenset(range(1, 7)))})
+    assert len(words) == 5760
+    memos = []
+    for order in (words, random.Random(6).sample(words, len(words))):
+        monkeypatch.setattr(normalform, "_nf_memo", {})
+        for w in order:
+            normalform._nf_canonical(w)
+        memos.append(normalform._nf_memo)
+    assert set(memos[0]) == set(words)
+    assert memos[0] == memos[1]
+
+
 def test_r8_coefficients_beyond_unit(monkeypatch):
     """Every nonzero coefficient is +-1 through r = 7; at r = 8 five words
     have coefficients +-2.  One of them, from a cold memo, and its chain

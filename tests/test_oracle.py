@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from bsnakes import oracle, ring
+from bsnakes import normalform, oracle, relations, ring
+from bsnakes.cli import main
 from bsnakes.core import (CapExceeded, SignedPermutation, _springer,
                           enumerate_signed_perms, enumerate_snakes, parse_sp,
                           springer, star)
@@ -12,7 +14,7 @@ from bsnakes.linalg import SparseVector
 from bsnakes.normalform import normal_form
 from bsnakes.oracle import (CheckResult, JoinChain,
                             NestedChainComplex, SimplicialChain,
-                            _cycle_solver, _hat_complex, _subsets,
+                            _cycle_solver, _subsets,
                             _TopCycleSolver, boundary_matrix, chain_of,
                             chain_of_lincomb, check_betti_identity,
                             check_cup_against_topology,
@@ -63,8 +65,8 @@ def test_hat_cap():
         hat_complex((1, 2, 3, 4, 5, 6))
 
 
-def test_hat_complex_built_once_per_support():
-    assert hat_complex((1, 2)) is hat_complex([2, 1], 6)
+def test_hat_complex_depends_on_the_support_only():
+    assert hat_complex((1, 2)).vertices == hat_complex([2, 1], 6).vertices
     with pytest.raises(CapExceeded):
         hat_complex((1, 2, 3), 2)
 
@@ -79,7 +81,7 @@ def test_builders_are_cached_by_what_they_build():
     with pytest.raises(CapExceeded):
         solve_in_snake_cycles(chain, (3, 5, 8), cap=2)
     assert relation_matrix((2, 4, 6)) is relation_matrix([6, 4, 2], 6)
-    assert full_subcomplex(3, [1]) is full_subcomplex(3, (1,), 4)
+    assert full_subcomplex(3, [1]).vertices == full_subcomplex(3, (1,), 4).vertices
     with pytest.raises(CapExceeded):
         full_subcomplex(3, [1], 2)
     _springer.cache_clear()
@@ -92,6 +94,31 @@ def test_empty_complex():
     assert c.dim == -1
     assert reduced_betti(c, -1) == 1 == springer(0)
     assert reduced_betti(c, 0) == 0
+
+
+def test_no_simplices_below_the_empty_one():
+    c = hat_complex((1, 2))
+    assert c.simplices(-2) == [] and c.simplex_index(-2) == {}
+    assert c.simplex_index(-1) == {(): 0}
+    assert boundary_matrix(c, -1).shape == (0, 1)
+    assert boundary_matrix(c, -1).rank() == 0
+
+
+def test_boundary_ranks_are_kept_on_the_complex(monkeypatch):
+    c = hat_complex((1, 2, 3))
+    built = []
+
+    def counted(c, k, real=boundary_matrix):
+        built.append(k)
+        return real(c, k)
+
+    monkeypatch.setattr(oracle, "boundary_matrix", counted)
+    assert [reduced_betti(c, k) for k in (-1, 0, 1, 1, 0)] == [0, 0, 11, 11, 0]
+    assert built == [-1, 0, 1, 2]
+    assert c._ranks == {-1: 0, 0: 1, 1: 13, 2: 0}
+    # a fresh matrix on every call, equal to the last
+    assert boundary_matrix(c, 1) is not boundary_matrix(c, 1)
+    assert boundary_matrix(c, 1).columns == boundary_matrix(c, 1).columns
 
 
 @pytest.mark.parametrize("I,top,value", [
@@ -315,10 +342,14 @@ def test_peel_rejects_pivot_entries_other_than_one(monkeypatch):
         _TopCycleSolver((1, 2, 3))
 
 
-def test_solve_rejects_non_top_simplices_without_the_hat_complex():
-    _hat_complex.cache_clear()
+def test_solve_rejects_non_top_simplices_without_the_hat_complex(monkeypatch):
     I = (2, 4, 5, 7)
     x = sp("[2-4/75]")
+
+    def no_complex(*args):
+        raise AssertionError("the solve built a complex")
+
+    monkeypatch.setattr(oracle, "NestedChainComplex", no_complex)
     assert solve_in_snake_cycles(chain_of(x), I) == normal_form(x)
     top = next(iter(chain_of(x).terms))
     for bad in [top[:1], top + (fs(2, 4, 5, 7, -1),), (fs(2), fs(2, 4)),
@@ -326,7 +357,7 @@ def test_solve_rejects_non_top_simplices_without_the_hat_complex():
                 (fs(4), fs(2, 5, 7)), (fs(2), (2, 4, 5)), "x"]:
         with pytest.raises(ValueError):
             solve_in_snake_cycles(SimplicialChain({top: 1, bad: 1}), I)
-    assert _hat_complex.cache_info().currsize == 0
+    monkeypatch.undo()
     # the check from the simplex alone agrees with the complex
     for J in [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]:
         solver = _TopCycleSolver(J)
@@ -452,6 +483,76 @@ def test_complex_json_export():
     obj3 = c3.to_json()
     assert len(obj3["simplices"]["1"]) == 24
     assert all(a < b for a, b in obj3["simplices"]["1"])
+
+
+def _flip_second_sign(family):
+    def plant(monkeypatch):
+        layout = list(relations._LAYOUTS[family])
+        pattern, sign = layout[1]
+        layout[1] = (pattern, -sign)
+        monkeypatch.setitem(relations._LAYOUTS, family, tuple(layout))
+    return plant
+
+
+def _kappa_zero(monkeypatch):
+    monkeypatch.setattr(ring, "_kappa_word", lambda w, side: 0)
+
+
+def _canonical_sign_dropped(monkeypatch):
+    real = relations._canonical_word
+    for module in (relations, normalform, ring):
+        monkeypatch.setattr(module, "_canonical_word", lambda w: (1, real(w)[1]))
+
+
+def _springer_off_at_three(monkeypatch):
+    monkeypatch.setattr(oracle, "springer", lambda r, *cap: springer(r, *cap) + (r == 3))
+
+
+def _hat_vertex_dropped(monkeypatch):
+    def hat(I, *cap):
+        c = hat_complex(I, *cap)
+        return NestedChainComplex(c.vertices[1:], c.description) if len(tuple(I)) == 3 else c
+
+    monkeypatch.setattr(oracle, "hat_complex", hat)
+
+
+def _clear_reachable_caches():
+    normalform._nf_memo.clear()
+    ring._cup_cached.cache_clear()
+    oracle._cycle_solver.cache_clear()
+    relations._relation_matrix_cached.cache_clear()
+
+
+@pytest.mark.parametrize("plant,n,checks", [
+    (_flip_second_sign("H4"), 4,
+     ["relations-vanish", "normal-form-agreement", "cup-topology"]),
+    (_flip_second_sign("H5"), 4, ["relations-vanish", "normal-form-agreement"]),
+    (_kappa_zero, 4, ["join-factorization", "cup-topology"]),
+    (_canonical_sign_dropped, 4, ["normal-form-agreement", "cup-topology"]),
+    (_springer_off_at_three, 3, ["betti-identity"]),
+    (_hat_vertex_dropped, 3, ["betti-identity", "retraction-equivalence"]),
+], ids=["H4-sign", "H5-sign", "kappa-zero", "canonical-sign", "springer-3",
+        "hat-vertex"])
+def test_planted_faults_are_caught(plant, n, checks, monkeypatch, capsys):
+    # every referee is seen to fail on a fault planted where it looks;
+    # caches the fault can reach are cleared so that nothing corrupt leaks
+    _clear_reachable_caches()
+    try:
+        plant(monkeypatch)
+        results = verify_suite(n, only=checks)
+        assert [r.check for r in results if not r.passed] == checks
+        for r in results:
+            json.dumps(r.to_json())
+        for check in checks:
+            assert main(["verify", "--n", str(n), "--lemma", check]) == 1, check
+        if plant is _canonical_sign_dropped:
+            capsys.readouterr()
+            assert main(["normal-form", "[12]", "--check-oracle"]) == 1
+            err = capsys.readouterr().err
+            assert "backend solve disagrees" in err and "oracle disagrees" in err
+    finally:
+        monkeypatch.undo()
+        _clear_reachable_caches()
 
 
 def test_verify_suite_filter_and_cap():
