@@ -8,19 +8,19 @@ touch ``Fraction`` arithmetic.  The oracle's simplicial and join chains
 are signed permutations on one support) and ``ring.RingElement`` (keys
 are basis snakes on the index sets inside [n]).
 
-``SparseEchelon`` is incremental row-echelon elimination over the
-integers.  Rows live in dicts {column: integer coefficient} with no zero
-entries, and pivot rows are kept primitive (content 1, positive leading
-coefficient).  Columns are plain integers and the elimination priority is
-the natural integer order, so callers encode their pivot preference in the
-column indexing.  No back-substitution is performed: a pivot row may
-still mention later pivot columns.  One loop does every elimination: it
-pops the columns of the working row in increasing order from a heap,
-which terminates because a pivot row's other entries all sit at strictly
-later columns.  A pivot coefficient a > 1 scales the working row instead
-of dividing, and the loop tracks the product of those scale factors as
-one denominator, so a rational vector is reduced exactly by clearing its
-denominators once and dividing the integer remainder once at the end.
+``SparseEchelon`` is incremental row-echelon elimination over the integers.
+Rows live in dicts {column: integer coefficient} with no zero entries, and
+pivot rows are kept primitive (content 1, positive leading coefficient).
+Columns are plain integers and the elimination priority is the natural
+integer order, so callers encode their pivot preference in the column
+indexing; the row order cannot change the pivot columns.  There is no
+back-substitution: a pivot row may still mention later pivot columns.  One
+loop does every elimination: it pops the columns of the working row in
+increasing order from a heap, which terminates because a pivot row's other
+entries all sit at strictly later columns.  A pivot coefficient a > 1
+scales the working row instead of dividing, and the product of those
+factors is one denominator, so a rational vector is reduced exactly by
+clearing its denominators once and dividing the remainder once at the end.
 """
 
 from __future__ import annotations

@@ -178,8 +178,9 @@ class CoefficientReport:
         if self.all_in_unit_range:
             lines.append("all coefficients in {-1,0,1}")
         else:
-            lines.append(f"coefficients beyond {{-1,0,1}}: {len(self.beyond_unit)} "
-                         "instances (see JSON report)")
+            # beyond_unit keeps only the first 20; value_counts has them all
+            beyond = sum(k for v, k in self.value_counts.items() if v not in ("1", "-1"))
+            lines.append(f"coefficients beyond {{-1,0,1}}: {beyond} instances (see JSON report)")
         return "\n".join(lines)
 
 

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator
 from .core import (IndexSet, SignedPermutation, SignedSubset, _check_cap, _subsets,
                    enumerate_snakes, f_set, index_set, restrict_p, springer, star)
 from .linalg import SparseEchelon, SparseVector
-from .relations import ConventionError, LinComb, generator_instances
+from .relations import ConventionError, LinComb, _word_instances
 
 ORACLE_CAP = 5
 FULLSUB_CAP = 3
@@ -440,16 +440,16 @@ def check_relations_vanish(n: int) -> CheckResult:
     """Every H1..H5 instance realizes to the zero chain (not merely to a
     boundary): the hat complex has no cells above the chains' dimension."""
     res = CheckResult("relations-vanish")
-    chains: dict[SignedPermutation, dict] = {}  # each word realized once
     for I in _subsets(n):
-        for label, comb in generator_instances(I):
+        chains: dict[tuple[int, ...], dict] = {}  # each word on I realized once
+        for label, terms in _word_instances(I):
             res.instances += 1
-            for perm in comb.terms:
-                if perm not in chains:
-                    chains[perm] = chain_of(perm).terms
-            if SparseVector.combine((c, chains[perm]) for perm, c in comb.terms.items()):
-                res.record({"I": list(I), "generator": label,
-                            "instance": comb.to_json()})
+            for w, _ in terms:
+                if w not in chains:
+                    chains[w] = chain_of(SignedPermutation(w)).terms
+            if SparseVector.combine((sign, chains[w]) for w, sign in terms):
+                res.record({"I": list(I), "generator": label, "instance": LinComb(
+                    I, {SignedPermutation(w): sign for w, sign in terms}).to_json()})
     return res
 
 

@@ -10,10 +10,10 @@ the free vector space Q<S^B_I> by which it is divided to reach the snake basis:
   * H4 resolves a negative leading block on an even-length word (four terms),
   * H5 resolves a leading descent on an odd-length word (twelve terms).
 
-``relation_matrix`` assembles every generator instance into a sparse
-row-echelon form over the integers, with columns ordered so that snake
-words come last; reducing any vector against it therefore rewrites it into
-the snake basis.  The quotient has dimension springer(|I|), i.e. the rank
+``relation_matrix`` assembles every generator instance, in the table's
+order, into a sparse row-echelon form over the integers, with snake words
+as the last columns; reducing any vector against it therefore rewrites it
+into the snake basis.  The quotient has dimension springer(|I|), i.e. the rank
 equals 2^r * r! - springer(r).
 """
 
@@ -193,26 +193,25 @@ def h5(x: SignedPermutation) -> LinComb:
     return _relation(x, "H5")
 
 
-def _word_instances(sup: IndexSet, families: Iterable[str] = tuple(_LAYOUTS)
-                    ) -> Iterator[tuple[str, int, Terms]]:
-    """(family, i, terms) for every instance on sup of the given families,
-    family by family and word by word in lexicographic order; i is 0 for
-    the leading-letter families."""
+def _word_instances(sup: IndexSet) -> Iterator[tuple[str, Terms]]:
+    """(label, terms) for every H1..H5 instance on sup, in the table's
+    order: family by family, word by word in lexicographic order.  The
+    label is "H1^i", "H2^i", "H3", "H4" or "H5"."""
     words = list(_words_lex(frozenset(sup)))
-    for family in families:
+    for family in _LAYOUTS:
         starts = _starts(family, len(sup))
+        labels = [f"{family}^{i}" if family in _BLOCK_FAMILIES else family
+                  for i in range(1, len(starts) + 1)]
         for w in words:
-            for i, start in enumerate(starts, 1):
-                yield (family, i if family in _BLOCK_FAMILIES else 0,
-                       _instance(w, family, start))
+            for label, start in zip(labels, starts):
+                yield label, _instance(w, family, start)
 
 
 def generator_instances(I: Iterable[int]) -> Iterator[tuple[str, LinComb]]:
     """Every nonzero H1..H5 instance on I, deterministically ordered."""
     sup = index_set(I)
-    for family, i, terms in _word_instances(sup):
-        yield (f"{family}^{i}" if i else family,
-               LinComb(sup, {SignedPermutation(w): sign for w, sign in terms}))
+    for label, terms in _word_instances(sup):
+        yield label, LinComb(sup, {SignedPermutation(w): sign for w, sign in terms})
 
 
 def _canonical_word(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -251,8 +250,8 @@ class RelationMatrix:
     """Echelonized span of all H1..H5 instances on one support.
 
     Columns are the 2^r * r! words in lexicographic order, non-snakes
-    first; rows are added in family order, sparsest first (H1, H3, H4, H2,
-    H5), and a duplicate row reduces to zero in the echelon.
+    first; rows are added in the table's order (``_word_instances``); the
+    pivots depend only on the row space and column order, not on row order.
     """
 
     def __init__(self, I: Iterable[int]):
@@ -264,7 +263,7 @@ class RelationMatrix:
         self.n_snakes = sum(map(_is_snake_word, self.columns))
 
         self.echelon = SparseEchelon()
-        for _, _, terms in _word_instances(sup, ("H1", "H3", "H4", "H2", "H5")):
+        for _, terms in _word_instances(sup):
             self.echelon.add_row({self.col_index[w]: sign for w, sign in terms})
 
     @property

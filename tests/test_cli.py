@@ -207,6 +207,8 @@ def test_springer_text_and_table(capsys):
                                 "springer(2) = 3", "springer(3) = 11"]
     code, out, _ = run(capsys, "springer", "--r", "4", "--json")
     assert json.loads(out) == {"r": 4, "value": 57}
+    code, out, _ = run(capsys, "springer", "--r", "3", "--table", "--json")
+    assert code == 0 and json.loads(out) == {"r": 3, "values": [1, 1, 3, 11]}
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -270,6 +272,16 @@ def test_verify_full_with_lemma_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--full", "--lemma", "betti")
     assert code == 2 and out == ""
     assert "--full" in err and "--lemma" in err
+
+
+def test_verify_full_json(capsys):
+    # --full adds the hat-complex sweeps at |I| <= 5 after the n = 2 checks
+    code, out, _ = run(capsys, "verify", "--n", "2", "--full", "--json")
+    report = json.loads(out)
+    assert code == 0 and len(report) == 9
+    assert all(r["failures"] == [] for r in report)
+    assert [(r["check"], r["instances"]) for r in report[-2:]] == [
+        ("betti-identity", 80), ("relations-vanish", 28490)]
 
 
 def test_verify_json(capsys):

@@ -181,6 +181,17 @@ def test_experiment_r4_all_unit_range():
     assert report.all_in_unit_range
 
 
+def test_experiment_reports_every_coefficient_beyond_unit(monkeypatch):
+    # the JSON list keeps 20 examples, but the text counts them all
+    real = normal_form
+    monkeypatch.setattr(normalform, "normal_form",
+                        lambda x, *args: real(x, *args).scale(2))
+    report = coefficient_range_experiment((1, 2, 3))
+    assert report.value_counts == {"-2": 44, "2": 44}
+    assert len(report.beyond_unit) == len(report.to_json()["beyond_unit"]) == 20
+    assert "coefficients beyond {-1,0,1}: 88 instances" in str(report)
+
+
 def test_rewrite_steps_strictly_decrease():
     # the runtime assertion inside the rewriting engine enforces this on
     # every step; exercise it directly on every canonical non-snake at r = 4

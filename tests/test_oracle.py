@@ -516,6 +516,41 @@ def _hat_vertex_dropped(monkeypatch):
     monkeypatch.setattr(oracle, "hat_complex", hat)
 
 
+def _hat_vertex_added(monkeypatch):
+    def hat(I, *cap):
+        c = hat_complex(I, *cap)
+        return NestedChainComplex(c.vertices + [fs(99)], c.description) if len(tuple(I)) == 3 else c
+
+    monkeypatch.setattr(oracle, "hat_complex", hat)
+
+
+def _snake_repeated(monkeypatch):
+    def snakes(I):
+        found = enumerate_snakes(I)
+        return found + found[:1] if len(tuple(I)) == 3 else found
+
+    monkeypatch.setattr(oracle, "enumerate_snakes", snakes)
+
+
+def _chain_simplex_dropped(monkeypatch):
+    def chain(x):
+        terms = dict(chain_of(x).terms)
+        if x.r == 3 and x.word[0] < 0:
+            del terms[next(iter(terms))]
+        return SimplicialChain(terms)
+
+    monkeypatch.setattr(oracle, "chain_of", chain)
+
+
+def _walk_skips_fifth(monkeypatch):
+    real = ring._restrictable_walk
+
+    def walk(*args):
+        return (z for k, z in enumerate(real(*args), 1) if k % 5)
+
+    monkeypatch.setattr(ring, "_restrictable_walk", walk)
+
+
 def _clear_reachable_caches():
     normalform._nf_memo.clear()
     ring._cup_cached.cache_clear()
@@ -523,28 +558,38 @@ def _clear_reachable_caches():
     relations._relation_matrix_cached.cache_clear()
 
 
-@pytest.mark.parametrize("plant,n,checks", [
+@pytest.mark.parametrize("plant,n,checks,broken", [
     (_flip_second_sign("H4"), 4,
-     ["relations-vanish", "normal-form-agreement", "cup-topology"]),
-    (_flip_second_sign("H5"), 4, ["relations-vanish", "normal-form-agreement"]),
-    (_kappa_zero, 4, ["join-factorization", "cup-topology"]),
-    (_canonical_sign_dropped, 4, ["normal-form-agreement", "cup-topology"]),
-    (_springer_off_at_three, 3, ["betti-identity"]),
-    (_hat_vertex_dropped, 3, ["betti-identity", "retraction-equivalence"]),
-], ids=["H4-sign", "H5-sign", "kappa-zero", "canonical-sign", "springer-3",
-        "hat-vertex"])
-def test_planted_faults_are_caught(plant, n, checks, monkeypatch, capsys):
-    # every referee is seen to fail on a fault planted where it looks;
+     ["relations-vanish", "normal-form-agreement", "cup-topology"], []),
+    (_flip_second_sign("H5"), 4, ["relations-vanish", "normal-form-agreement"], []),
+    (_flip_second_sign("H2"), 5, ["relations-vanish", "normal-form-agreement"], []),
+    (_kappa_zero, 4, ["join-factorization", "cup-topology"], []),
+    (_canonical_sign_dropped, 4, ["normal-form-agreement", "cup-topology"], []),
+    (_springer_off_at_three, 3, ["betti-identity"], []),
+    (_hat_vertex_dropped, 3, ["betti-identity", "retraction-equivalence"], []),
+    (_hat_vertex_added, 3, ["betti-identity", "retraction-equivalence"], []),
+    (_snake_repeated, 3, ["snake-cycle-basis"],
+     ["normal-form-agreement", "cup-topology"]),
+    (_chain_simplex_dropped, 4, ["relations-vanish"], ["normal-form-agreement"]),
+    (_walk_skips_fifth, 4, ["cup-topology"], []),
+], ids=["H4-sign", "H5-sign", "H2-sign", "kappa-zero", "canonical-sign", "springer-3",
+        "hat-vertex", "hat-vertex-added", "snake-repeated", "chain-simplex", "walk-skip"])
+def test_planted_faults_are_caught(plant, n, checks, broken, monkeypatch, capsys):
+    # every referee is seen to fail on a fault planted where it looks, and
+    # the checks named in broken stop on the broken invariant with exit 3;
     # caches the fault can reach are cleared so that nothing corrupt leaks
     _clear_reachable_caches()
     try:
         plant(monkeypatch)
-        results = verify_suite(n, only=checks)
+        results = verify_suite(n, only=checks, cap=n)
         assert [r.check for r in results if not r.passed] == checks
         for r in results:
             json.dumps(r.to_json())
-        for check in checks:
-            assert main(["verify", "--n", str(n), "--lemma", check]) == 1, check
+        for check, code in [(c, 1) for c in checks] + [(c, 3) for c in broken]:
+            argv = ["verify", "--n", str(n), "--unsafe-cap", str(n), "--lemma", check]
+            assert main(argv) == code, check
+        if plant is _hat_vertex_added:  # the isolated vertex shows in dimension 0
+            assert {"I": [1, 2, 3], "dim": 0, "got": 1, "want": 0} in results[0].failures
         if plant is _canonical_sign_dropped:
             capsys.readouterr()
             assert main(["normal-form", "[12]", "--check-oracle"]) == 1
